@@ -1,6 +1,13 @@
 """etaforge: exact eta invariants of coupled Dirac operators on circle
 bundles over Kähler bases, with closed forms cross-validated against
-brute-force oracles."""
+brute-force oracles.
+
+``forms`` (exterior-algebra suites) and ``measure`` (scipy quadrature) are
+imported on first use of one of their names, so that commands which need
+neither do not pay for loading them (PEP 562).
+"""
+
+from importlib import import_module as _import_module
 
 from .cohomology import (
     CohClass,
@@ -35,20 +42,7 @@ from .eta import (
     transgression,
 )
 from .flow import Crossing, FlowResult, flow_in_delta_closed, flow_in_delta_oracle, flow_in_s_oracle
-from .forms import (
-    EndForm,
-    GaussRat,
-    KahlerModel,
-    ScalarForm,
-    build_tensors,
-    constant_curvature_block,
-    identity_suite,
-    parity_count,
-    parity_expected,
-    trace_expansion_check,
-)
 from .hodge import HodgeProvider, HrrVanishingHodge, SurfaceHodge, TableHodge, hodge_number
-from .measure import LaplaceCheck, ModelPoint, NearZeroBound, laplace_check, limit_measure_apply, near_zero_bound
 from .scalars import ParamScalar, TruncSeries, fractional_part, universal_series
 from .spectrum import (
     DolbeaultProvider,
@@ -64,3 +58,45 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package re-exports from it on first access
+_LAZY = {
+    "forms": (
+        "EndForm",
+        "GaussRat",
+        "KahlerModel",
+        "ScalarForm",
+        "build_tensors",
+        "constant_curvature_block",
+        "identity_suite",
+        "parity_count",
+        "parity_expected",
+        "trace_expansion_check",
+    ),
+    "measure": (
+        "LaplaceCheck",
+        "ModelPoint",
+        "NearZeroBound",
+        "laplace_check",
+        "limit_measure_apply",
+        "near_zero_bound",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _LAZY.keys() | _LAZY_NAMES.keys()
+)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

@@ -35,9 +35,7 @@ from .eta import (
     exact_eta,
 )
 from .flow import flow_in_delta_closed, flow_in_delta_oracle, flow_in_s_oracle
-from .forms import KahlerModel, identity_suite, trace_expansion_check
 from .hodge import HodgeProvider, HrrVanishingHodge, SurfaceHodge, TableHodge
-from .measure import ModelPoint, laplace_check, near_zero_bound
 from .spectrum import DolbeaultProvider, type1_eigenvalues, type2_records
 
 SCHEMA = "etaforge/1"
@@ -419,6 +417,8 @@ _DEFAULT_MEASURE_POINTS = (
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from .measure import ModelPoint, laplace_check, near_zero_bound  # loads scipy
+
     cfg = _load_config(args.config)
     m_cfg = cfg.get("measure", {})
     points = m_cfg.get("points", list(_DEFAULT_MEASURE_POINTS))
@@ -461,6 +461,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    from .forms import KahlerModel, identity_suite, trace_expansion_check
+
     checks = []
     all_ok = True
     for m in (1, 2, 3):

@@ -28,7 +28,7 @@ from .cohomology import (
     integrate,
     surface_geometry,
 )
-from .errors import NoConsistentConvention, UsageError
+from .errors import NoConsistentConvention, UnknownHodgeData, UsageError
 from .flow import flow_in_delta_closed, flow_in_s_oracle
 from .hodge import HodgeProvider, SurfaceHodge
 from .scalars import (
@@ -291,7 +291,7 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
         try:
             if any(hp.h(p, 0) != 0 for p in range(g.m + 1)):
                 continue
-        except Exception:
+        except UnknownHodgeData:
             continue
         # on (0,1) the fractional part of r is r itself
         symbolic = _adiabatic_nonint_class(g, conv, r, 1 - r * 2)

@@ -196,3 +196,24 @@ def test_default_suite_composition():
     suite = default_calibration_suite()
     assert len(suite) == 4
     assert all(g.m == 1 for g, _ in suite)
+
+
+class _BrokenHodge(SurfaceHodge):
+    """A provider with a bug: every lookup divides by zero."""
+
+    def h(self, p, k):
+        return 1 // 0
+
+
+def test_t1_skips_only_unknown_hodge_data():
+    # genus 2 without a declared h^{0,0}: the k=0 data is unknown, so T1 skips it
+    suite = [(surface_geometry(2, 3), SurfaceHodge(2, 3))]
+    assert eta_mod._t1_holds(suite, DEFAULT_CONVENTIONS)
+
+
+def test_provider_bug_propagates_out_of_calibration():
+    suite = [(surface_geometry(0, 1), _BrokenHodge(0, 1))]
+    with pytest.raises(ZeroDivisionError):
+        eta_mod._t1_holds(suite, DEFAULT_CONVENTIONS)
+    with pytest.raises(ZeroDivisionError):
+        calibrate(suite)

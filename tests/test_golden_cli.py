@@ -1,0 +1,90 @@
+"""Golden CLI outputs: stdout of a cold ``python -m etaforge.cli`` process must
+match the bytes stored in ``tests/golden/`` exactly.
+
+Each fixture ``tests/golden/<name>`` holds the stdout of ``COMMANDS[name]``,
+run from a directory that contains ``cfg.json`` (``CONFIG`` below).  Any
+refactor or deletion must leave these bytes unchanged; a change of output is
+a change of the fixtures, made on purpose and recorded as such.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+SURFACE_01 = ["--preset", "surface", "--genus", "0", "--degree", "1"]
+
+CONFIG = {
+    "geometry": {"preset": "surface", "genus": 0, "degree": 1},
+    "dolbeault": {
+        "lower_bound": "1/2",
+        "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 3], [1, 1, "3", 2]],
+    },
+}
+
+COMMANDS = {
+    "eta_exact.json": ["eta", "exact", *SURFACE_01, "--r", "0", "--eps", "1/10"],
+    "eta_exact_genus2.json": [
+        "eta", "exact", "--preset", "surface", "--genus", "2", "--degree", "3",
+        "--h00", "1", "--r", "7/3", "--eps", "1/7",
+    ],
+    "eta_asymptotic.json": [
+        "eta", "asymptotic", "--preset", "surface", "--genus", "1", "--degree", "2",
+        "--r", "5/3", "--eps", "1/100",
+    ],
+    "eta_adiabatic.json": [
+        "eta", "adiabatic", "--preset", "surface", "--genus", "0", "--degree", "2",
+        "--r", "7/3", "--eps", "1/10",
+    ],
+    "eta_aps_check.json": [
+        "eta", "aps-check", *SURFACE_01, "--r0", "1/3", "--r1", "5/2", "--eps", "1/10",
+    ],
+    "flow_delta.json": [
+        "flow", "--preset", "surface", "--genus", "1", "--degree", "1",
+        "--r", "9/4", "--eps", "1/10",
+    ],
+    "flow_s.json": [
+        "flow", "--preset", "surface", "--genus", "0", "--degree", "2",
+        "--r0", "1/3", "--r1", "17/6", "--eps", "1/5",
+    ],
+    "flow_both.csv": [
+        "flow", *SURFACE_01, "--r", "3/2", "--r0", "1/3", "--r1", "5/2",
+        "--eps", "1/10", "--format", "csv",
+    ],
+    "spectrum.json": [
+        "spectrum", "--config", "cfg.json", "--r", "1/3", "--eps", "1/10",
+        "--k-min", "-3", "--k-max", "3",
+    ],
+    "spectrum.csv": [
+        "spectrum", *SURFACE_01, "--r", "1/3", "--eps", "1/10",
+        "--k-min", "-5", "--k-max", "5", "--format", "csv",
+    ],
+    "measure_check.json": ["measure", "check"],
+    "identities_run.json": ["identities", "run"],
+}
+
+
+def run_cli(argv, cwd: Path) -> subprocess.CompletedProcess:
+    (cwd / "cfg.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "etaforge.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_stdout_matches_golden(name, tmp_path):
+    proc = run_cli(COMMANDS[name], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_fixture_has_a_command():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
