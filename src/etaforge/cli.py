@@ -20,7 +20,6 @@ from .cohomology import Geometry, projective_like_geometry, surface_geometry
 from .errors import (
     EtaforgeError,
     InvalidDolbeaultData,
-    NoConsistentConvention,
     ProviderConsistencyError,
     UnknownHodgeData,
     UsageError,
@@ -572,10 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
-    except (UnknownHodgeData, InvalidDolbeaultData, ProviderConsistencyError) as exc:
+    except EtaforgeError as exc:
         sys.stderr.write(
             json.dumps(
                 {"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)},
@@ -583,12 +579,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             + "\n"
         )
-        return 2
-    except NoConsistentConvention as exc:
-        sys.stderr.write(f"calibration failed: {exc}\n")
-        return 3
-    except EtaforgeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, UsageError):
+            return 1
+        if isinstance(exc, (UnknownHodgeData, InvalidDolbeaultData, ProviderConsistencyError)):
+            return 2
         return 3
 
 

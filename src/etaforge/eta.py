@@ -34,6 +34,7 @@ from .hodge import HodgeProvider, SurfaceHodge
 from .scalars import (
     ParamScalar,
     ScalarLike,
+    TruncSeries,
     fractional_part,
     universal_series,
 )
@@ -93,13 +94,12 @@ def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
     return total / 2
 
 
-def _adiabatic_nonint_class(g: Geometry, conv: ConventionSet, r: ScalarLike, a: ScalarLike) -> ParamScalar:
-    """∫ ahat · f(a; w/2) · exp(r·w) with w the oriented line-bundle class."""
-    D = g.series_order
-    f = universal_series("f_fractional", D).substitute({"a": ParamScalar.coerce(a)})
+def _adiabatic_bracket(
+    g: Geometry, conv: ConventionSet, f: TruncSeries, r: ScalarLike
+) -> ParamScalar:
+    """∫ ahat · f(w/2) · exp(r·w) with w the oriented line-bundle class."""
     half_w = _oriented_c(g, conv, Fraction(1, 2))
-    full = _oriented_c(g, conv, r)
-    cls = char_class(g, "ahat") * half_w.apply_series(f) * full.exp()
+    cls = char_class(g, "ahat") * half_w.apply_series(f) * _oriented_c(g, conv, r).exp()
     return integrate(g, cls)
 
 
@@ -116,16 +116,12 @@ def adiabatic_limit(
     bracket with a = 1 - 2{r}.
     """
     r = Fraction(r)
+    D = g.series_order
     if r.denominator == 1:
-        k = int(r)
-        D = g.series_order
         f = universal_series("f_integer", D)
-        half_w = _oriented_c(g, conv, Fraction(1, 2))
-        full = _oriented_c(g, conv, Fraction(k))
-        cls = char_class(g, "ahat") * half_w.apply_series(f) * full.exp()
-        return integrate(g, cls).as_fraction() + _hodge_correction(g, hp, k)
-    a = 1 - 2 * fractional_part(r)
-    return _adiabatic_nonint_class(g, conv, r, a).as_fraction()
+        return _adiabatic_bracket(g, conv, f, r).as_fraction() + _hodge_correction(g, hp, int(r))
+    f = universal_series("f_fractional", D).substitute({"a": 1 - 2 * fractional_part(r)})
+    return _adiabatic_bracket(g, conv, f, r).as_fraction()
 
 
 def transgression(
@@ -223,6 +219,27 @@ class ApsCheck:
     passed: bool
 
 
+def _aps_rhs(
+    g: Geometry, hp: HodgeProvider, r0: Fraction, r1: Fraction, eps: Fraction
+) -> Fraction:
+    """Knob-free right-hand side of the APS difference relation on (r0, r1]:
+    the net s-flow plus the index-integral difference.
+
+    The reduced invariant counts a zero mode as nonnegative, so a downward
+    family (p even) that is zero at r1 has not crossed yet, while one that
+    is zero at r0 crosses just after it; the oracle's (r0, r1] count is
+    corrected at both endpoints.
+    """
+    net = flow_in_s_oracle(g, hp, r0, r1, eps).net
+    half_m = Fraction(g.m, 2)
+    for p in range(0, g.m + 1, 2):
+        for r, sign in ((r1, 1), (r0, -1)):
+            k = r - eps * (p - half_m)
+            if k.denominator == 1:
+                net += sign * hp.h(p, int(k))
+    return Fraction(net) + index_integral(g, r1) - index_integral(g, r0)
+
+
 def aps_difference_check(
     g: Geometry,
     hp: HodgeProvider,
@@ -234,16 +251,13 @@ def aps_difference_check(
 ) -> ApsCheck:
     """η̄(r1) - η̄(r0) against flow_factor·(spectral flow + index integral)."""
     r0, r1 = Fraction(r0), Fraction(r1)
+    if r0 == r1:
+        return ApsCheck(Fraction(0), Fraction(0), True)
     lhs = (
         exact_eta(g, hp, r1, eps, conv, provider).value
         - exact_eta(g, hp, r0, eps, conv, provider).value
     )
-    if r0 == r1:
-        return ApsCheck(Fraction(0), Fraction(0), True)
-    net = flow_in_s_oracle(g, hp, r0, r1, eps).net
-    rhs = conv.flow_factor * (
-        Fraction(net) + index_integral(g, r1) - index_integral(g, r0)
-    )
+    rhs = conv.flow_factor * _aps_rhs(g, hp, r0, r1, Fraction(eps))
     return ApsCheck(lhs, rhs, lhs == rhs)
 
 
@@ -294,34 +308,52 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
         except UnknownHodgeData:
             continue
         # on (0,1) the fractional part of r is r itself
-        symbolic = _adiabatic_nonint_class(g, conv, r, 1 - r * 2)
+        f = universal_series("f_fractional", g.series_order).substitute({"a": 1 - r * 2})
+        symbolic = _adiabatic_bracket(g, conv, f, r)
         limit = symbolic.substitute({"r": Fraction(0)}).as_fraction()
         if limit != adiabatic_limit(g, hp, Fraction(0), conv):
             return False
     return True
 
 
-def _t2_holds(suite, conv: ConventionSet) -> bool:
+def _t2_pieces(suite, conv: ConventionSet) -> list[tuple[Fraction, Fraction]]:
+    """(ΔA, R) on every T2 window, for conv's sign_c.
+
+    ΔA is the adiabatic-limit difference and R the knob-free APS right-hand
+    side minus the δ-flow difference; the transgression cancels in η̄(r1) - η̄(r0), so
+    the APS relation holds on a window exactly when ΔA == flow_factor·R.
+    """
+    pieces = []
     for g, hp in suite:
         if g.m != 1 or hp.h(0, 0) != 0 or hp.h(1, 0) != 0:
             continue
-        for eps in (Fraction(1, 10), Fraction(1, 100)):
-            for r0, r1 in _T2_WINDOWS:
-                if not aps_difference_check(g, hp, r0, r1, eps, conv).passed:
-                    return False
-    return True
+        for r0, r1 in _T2_WINDOWS:
+            d_adia = adiabatic_limit(g, hp, r1, conv) - adiabatic_limit(g, hp, r0, conv)
+            for eps in (Fraction(1, 10), Fraction(1, 100)):
+                d_flow = flow_in_delta_closed(g, hp, r1, eps) - flow_in_delta_closed(g, hp, r0, eps)
+                pieces.append((d_adia, _aps_rhs(g, hp, r0, r1, eps) - d_flow))
+    return pieces
 
 
-def _t3_holds(suite, conv: ConventionSet) -> bool:
+def _t2_holds(pieces, conv: ConventionSet) -> bool:
+    return all(d_adia == conv.flow_factor * rest for d_adia, rest in pieces)
+
+
+def _t3_pieces(suite, conv: ConventionSet) -> list[tuple[Fraction, Fraction]]:
+    """(transgression at scale 1, target ε²l/12 - εχ/12) for conv's sign_c."""
+    pieces = []
     for g, _ in suite:
         if g.m != 1:
             continue
         chi = sum(g.tangent_roots)  # Euler characteristic of the surface
         for eps in (Fraction(1, 10), Fraction(1, 7)):
             expected = eps**2 * g.c1L / 12 - eps * chi / 12
-            if transgression(g, eps, conv) != expected:
-                return False
-    return True
+            pieces.append((transgression(g, eps, conv), expected))
+    return pieces
+
+
+def _t3_holds(pieces, conv: ConventionSet) -> bool:
+    return all(conv.transgression_scale * trans == expected for trans, expected in pieces)
 
 
 def calibrate(
@@ -332,6 +364,10 @@ def calibrate(
     T1: continuity of the adiabatic limit at r = 0 when the kernel data
         vanishes; T2: the APS difference relation on genus-0 windows;
     T3: the dimension-3 surface transgression value ε²l/12 - εχ/12.
+
+    T1 and the T2/T3 pieces depend only on sign_c, so they are computed once
+    per sign (at flow_factor 1, transgression_scale 1); the candidates of a
+    sign are then decided by rational arithmetic on those pieces.
     """
     if suite is None:
         suite = default_calibration_suite()
@@ -339,19 +375,28 @@ def calibrate(
         raise UsageError("calibration suite must contain surface presets")
     checked = 0
     survivors: list[ConventionSet] = []
+    t3: dict[int, list[tuple[Fraction, Fraction]]] = {}  # for signs with survivors
     for sign_c in (1, -1):
-        for flow_factor in (1, 2):
-            for scale in _SCALE_CANDIDATES:
-                conv = ConventionSet(sign_c, flow_factor, scale)
-                checked += 1
-                if _t1_holds(suite, conv) and _t2_holds(suite, conv):
-                    survivors.append(conv)
+        unit = ConventionSet(sign_c, 1, Fraction(1))
+        candidates = [
+            ConventionSet(sign_c, flow_factor, scale)
+            for flow_factor in (1, 2)
+            for scale in _SCALE_CANDIDATES
+        ]
+        checked += len(candidates)
+        if not _t1_holds(suite, unit):
+            continue
+        t2 = _t2_pieces(suite, unit)
+        passed = [conv for conv in candidates if _t2_holds(t2, conv)]
+        if passed:
+            t3[sign_c] = _t3_pieces(suite, unit)
+            survivors += passed
     if not survivors:
         raise NoConsistentConvention(
             "no (sign_c, flow_factor, transgression_scale) satisfies "
             "continuity and the APS relation on the calibration suite"
         )
-    full = [conv for conv in survivors if _t3_holds(suite, conv)]
+    full = [conv for conv in survivors if _t3_holds(t3[conv.sign_c], conv)]
     if len(full) == 1:
         return CalibrationResult(full[0], True, True, True, checked)
     if not full:

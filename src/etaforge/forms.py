@@ -9,6 +9,7 @@ rationals except in the complexified traces, where Gaussian rationals appear.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -130,9 +131,7 @@ def _sort_args(args: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
     """Sort arguments, returning permutation sign, or None on repeats."""
     if len(set(args)) != len(args):
         return None
-    order = sorted(range(len(args)), key=lambda i: args[i])
     sign = 1
-    seen = list(args)
     # count inversions
     for i in range(len(args)):
         for j in range(i + 1, len(args)):
@@ -339,9 +338,20 @@ class KahlerModel:
         }
         return ScalarForm(2, self.dim, values)
 
-def _omega_pairing(model: KahlerModel, i: int, j: int) -> Fraction:
-    """ω(b_i, b_j) = g(J b_i, b_j)."""
-    return model.j_matrix()[j][i]
+
+def _big_omega(model: KahlerModel, jm: Matrix) -> EndForm:
+    """Ω(b_i, b_j) x = ω(b_i, x) J b_j - ω(b_j, x) J b_i on horizontal b_i, b_j, x,
+    with ω(b_i, b_j) = g(J b_i, b_j) = jm[j][i]."""
+    n = model.dim
+    values: dict[tuple[int, ...], Matrix] = {}
+    for i, j in itertools.combinations(range(2 * model.m), 2):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for col in range(2 * model.m):
+            for row in range(n):
+                rows[row][col] = jm[col][i] * jm[row][j] - jm[col][j] * jm[row][i]
+        if any(any(r) for r in rows):
+            values[(i, j)] = tuple(tuple(r) for r in rows)
+    return EndForm(2, n, n, values)
 
 
 def build_tensors(model: KahlerModel) -> dict:
@@ -352,26 +362,6 @@ def build_tensors(model: KahlerModel) -> dict:
     n = model.dim
     v = model.vertical_index
     jm = model.j_matrix()
-
-    omega_vals: dict[tuple[int, int], Fraction] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        w = _omega_pairing(model, i, j)
-        if w != 0:
-            omega_vals[(i, j)] = w
-    omega = ScalarForm(2, n, omega_vals)
-
-    # Omega(b_i, b_j) x = ω(b_i, x) J b_j - ω(b_j, x) J b_i
-    big_omega_vals: dict[tuple[int, ...], Matrix] = {}
-    for i, j in itertools.combinations(range(2 * model.m), 2):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for col in range(2 * model.m):
-            wi = _omega_pairing(model, i, col)
-            wj = _omega_pairing(model, j, col)
-            for row in range(n):
-                rows[row][col] = wi * jm[row][j] - wj * jm[row][i]
-        if any(any(r) for r in rows):
-            big_omega_vals[(i, j)] = tuple(tuple(r) for r in rows)
-    big_omega = EndForm(2, n, n, big_omega_vals)
 
     # alpha1(b_i): e -> J b_i; alpha2(b_i): x -> g(b_i, x) e; alpha3(b_i): e -> -b_i
     a1_vals, a2_vals, a3_vals = {}, {}, {}
@@ -391,9 +381,9 @@ def build_tensors(model: KahlerModel) -> dict:
     alpha3 = EndForm(1, n, n, a3_vals)
 
     return {
-        "omega": omega,
+        "omega": model.omega(),
         "J": jm,
-        "Omega": big_omega,
+        "Omega": _big_omega(model, jm),
         "alpha1": alpha1,
         "alpha2": alpha2,
         "alpha3": alpha3,
@@ -464,8 +454,6 @@ def identity_suite(model: KahlerModel, kappa: Fraction = Fraction(1)) -> Identit
 def _binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
-    import math
-
     return math.comb(n, k)
 
 
@@ -559,19 +547,7 @@ def trace_expansion_check(
     jm = model.j_matrix()
     omega = model.omega()
     curv = constant_curvature_block(model, kappa)
-
-    # Omega on the horizontal-only model
-    big_omega_vals: dict[tuple[int, ...], Matrix] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for col in range(n):
-            wi = _omega_pairing(model, i, col)
-            wj = _omega_pairing(model, j, col)
-            for row in range(n):
-                rows[row][col] = wi * jm[row][j] - wj * jm[row][i]
-        if any(any(r) for r in rows):
-            big_omega_vals[(i, j)] = tuple(tuple(r) for r in rows)
-    big_omega = EndForm(2, n, n, big_omega_vals)
+    big_omega = _big_omega(model, jm)
 
     omega_j = EndForm(
         2, n, n, {k: mat_scale(jm, v) for k, v in omega.values.items()}

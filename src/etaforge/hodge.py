@@ -126,7 +126,3 @@ class TableHodge(HodgeProvider):
         if (self.m - p, -k) in self.table:
             return self.table[(self.m - p, -k)]
         raise UnknownHodgeData(f"h^({p},{k}) not in table")
-
-
-def hodge_number(hp: HodgeProvider, p: int, k: int) -> int:
-    return hp.h(p, k)

@@ -307,26 +307,6 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-def series_arith(lhs: TruncSeries, rhs: TruncSeries, kind: str) -> TruncSeries:
-    if kind == "add":
-        return lhs + rhs
-    if kind == "mul":
-        return lhs * rhs
-    raise UsageError(f"unknown series operation {kind!r}")
-
-
-def series_exp(s: TruncSeries) -> TruncSeries:
-    return s.exp()
-
-
-def series_log(s: TruncSeries) -> TruncSeries:
-    return s.log()
-
-
-def series_div(num: TruncSeries, den: TruncSeries, shared_factor: int = 0) -> TruncSeries:
-    return num.divide(den, shared_factor)
-
-
 def _exp_series(order: int, scale: Fraction = Fraction(1)) -> TruncSeries:
     return TruncSeries(
         order, [Fraction(scale**n, math.factorial(n)) for n in range(order + 1)]

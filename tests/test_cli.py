@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import etaforge.cli as cli
+import etaforge.eta as eta_mod
 from etaforge.cli import main
 
 
@@ -48,6 +49,25 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and "eps" in err
     code, _, err = _run(capsys, "eta", "bogus-mode")
     assert code == 1
+
+
+def test_usage_error_is_a_json_record(capsys):
+    code, _, err = _run(capsys, "eta", "exact", "--preset", "surface", "--r", "0")
+    assert code == 1
+    record = json.loads(err)
+    assert record["schema"] == "etaforge/1"
+    assert record["error"] == "UsageError"
+    assert "eps" in record["detail"]
+
+
+def test_calibration_failure_is_a_json_record(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(eta_mod, "_t2_holds", lambda suite, conv: False)
+    code, out, err = _run(capsys, "calibrate", "--conventions", str(tmp_path / "c.json"))
+    assert code == 3 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "NoConsistentConvention"
+    assert set(record) == {"schema", "error", "detail"}
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_unknown_hodge_data_exit_code(capsys):
@@ -121,6 +141,18 @@ def test_aps_check_pass_record(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_aps_check_passes_at_kernel_endpoint(capsys):
+    code, out, _ = _run(
+        capsys,
+        "eta", "aps-check", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r0", "7/12", "--r1", "9/10", "--eps", "1/5",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["lhs"] == payload["rhs"] == "1691/7200"
 
 
 def test_flow_mismatch_exits_three(monkeypatch, capsys):

@@ -217,3 +217,92 @@ def test_provider_bug_propagates_out_of_calibration():
         eta_mod._t1_holds(suite, DEFAULT_CONVENTIONS)
     with pytest.raises(ZeroDivisionError):
         calibrate(suite)
+
+
+def test_aps_difference_at_published_kernel_endpoint():
+    # r1 = 9/10 = 1 - ε/2 is where the p=0 family with k=1 reaches zero
+    g, hp = _genus0(1)
+    check = aps_difference_check(g, hp, Fraction(7, 12), Fraction(9, 10), Fraction(1, 5))
+    assert check.passed
+    assert check.lhs == check.rhs == Fraction(1691, 7200)
+
+
+@pytest.mark.parametrize(
+    "genus, degree, h00, p, k",
+    [(0, 1, None, 0, 1), (0, 1, None, 0, 2), (1, 2, 1, 0, 1), (1, 2, 1, 1, 0)],
+)
+def test_aps_difference_at_kernel_endpoints(genus, degree, h00, p, k):
+    """Windows that start or end where a type-1 family k + ε(p - 1/2) is zero:
+    downward (p=0) families and upward (p=1) ones."""
+    g, hp = surface_geometry(genus, degree), SurfaceHodge(genus, degree, h00=h00)
+    eps = Fraction(1, 5)
+    r_star = k + eps * (p - Fraction(1, 2))
+    assert hp.h(p, k) != 0
+    for r0, r1 in ((Fraction(0), r_star), (r_star, r_star + Fraction(9, 4))):
+        check = aps_difference_check(g, hp, r0, r1, eps)
+        assert check.passed, (r0, r1, check.lhs, check.rhs)
+
+
+_REDUCED_SCALES = (Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+def _candidates(scales):
+    return [
+        ConventionSet(sign_c, flow_factor, scale)
+        for sign_c in (1, -1)
+        for flow_factor in (1, 2)
+        for scale in scales
+    ]
+
+
+@pytest.fixture(scope="module")
+def brute_verdicts():
+    """(T1, T2, T3) of every default candidate, evaluated candidate by candidate:
+    T2 by aps_difference_check on every window, T3 by transgression."""
+    suite = default_calibration_suite()
+    verdicts = {}
+    for conv in _candidates(eta_mod._SCALE_CANDIDATES):
+        t2 = all(
+            aps_difference_check(g, hp, r0, r1, eps, conv).passed
+            for g, hp in suite
+            if g.m == 1 and hp.h(0, 0) == 0 and hp.h(1, 0) == 0
+            for eps in (Fraction(1, 10), Fraction(1, 100))
+            for r0, r1 in eta_mod._T2_WINDOWS
+        )
+        t3 = all(
+            transgression(g, eps, conv)
+            == eps**2 * g.c1L / 12 - eps * sum(g.tangent_roots) / 12
+            for g, _ in suite
+            if g.m == 1
+            for eps in (Fraction(1, 10), Fraction(1, 7))
+        )
+        verdicts[conv] = (eta_mod._t1_holds(suite, conv), t2, t3)
+    return verdicts
+
+
+@pytest.mark.parametrize("scales", [None, _REDUCED_SCALES])
+def test_calibration_matches_per_candidate_brute_force(brute_verdicts, monkeypatch, scales):
+    if scales is not None:
+        monkeypatch.setattr(eta_mod, "_SCALE_CANDIDATES", scales)
+    candidates = _candidates(eta_mod._SCALE_CANDIDATES)
+    suite = default_calibration_suite()
+    for sign_c in (1, -1):
+        unit = ConventionSet(sign_c, 1, Fraction(1))
+        t1 = eta_mod._t1_holds(suite, unit)
+        t2 = eta_mod._t2_pieces(suite, unit)
+        t3 = eta_mod._t3_pieces(suite, unit)
+        for conv in (c for c in candidates if c.sign_c == sign_c):
+            rebuilt = (t1, eta_mod._t2_holds(t2, conv), eta_mod._t3_holds(t3, conv))
+            assert rebuilt == brute_verdicts[conv], conv
+
+    survivors = [c for c in candidates if brute_verdicts[c][0] and brute_verdicts[c][1]]
+    full = [c for c in survivors if brute_verdicts[c][2]]
+    if full:
+        expected = eta_mod.CalibrationResult(full[0], True, True, True, len(candidates))
+    else:
+        expected = eta_mod.CalibrationResult(
+            survivors[0], True, True, False, len(candidates),
+            note="transgression target T3 not met; deviation recorded",
+        )
+    assert len(full) <= 1 and survivors
+    assert calibrate() == expected

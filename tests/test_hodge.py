@@ -4,7 +4,7 @@ import pytest
 
 from etaforge.cohomology import surface_geometry
 from etaforge.errors import ProviderConsistencyError, UnknownHodgeData, UsageError
-from etaforge.hodge import HrrVanishingHodge, SurfaceHodge, TableHodge, hodge_number
+from etaforge.hodge import HrrVanishingHodge, SurfaceHodge, TableHodge
 
 
 def test_surface_vanishing_ranges():
@@ -114,4 +114,3 @@ def test_table_provider_duality_fallback():
     assert hp.h(1, -1) == 4
     with pytest.raises(UnknownHodgeData):
         hp.h(0, 2)
-    assert hodge_number(hp, 0, 1) == 4

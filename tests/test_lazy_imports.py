@@ -25,7 +25,7 @@ TableHodge TruncSeries UnknownHodgeData UsageError adiabatic_limit
 alternating_multiplicity aps_difference_check asymptotic_eta build_tensors
 calibrate char_class cohomology constant_curvature_block errors eta exact_eta
 finite_eta_partial flow flow_in_delta_closed flow_in_delta_oracle
-flow_in_s_oracle forms fractional_part hodge hodge_number hrr_chi
+flow_in_s_oracle forms fractional_part hodge hrr_chi
 identity_suite index_integral integrate kernel_dimension laplace_check
 limit_measure_apply measure near_zero_bound parity_count parity_expected
 projective_like_geometry scalars spectrum surface_geometry
