@@ -38,6 +38,9 @@ from .hodge import HodgeProvider, HrrVanishingHodge, SurfaceHodge, TableHodge
 from .spectrum import DolbeaultProvider, type1_eigenvalues, type2_records
 
 SCHEMA = "etaforge/1"
+# widest k-range `spectrum` enumerates; a wider one is refused before any
+# record is built, instead of running for minutes
+_MAX_SPECTRUM_K_VALUES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,7 +326,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     k_max = _merged(args, cfg, "k_max")
     if k_min is None or k_max is None:
         raise UsageError("spectrum requires --k-min and --k-max")
-    records = type1_eigenvalues(g, hp, r, eps, (int(k_min), int(k_max)))
+    k_range = (int(k_min), int(k_max))
+    if k_range[1] - k_range[0] + 1 > _MAX_SPECTRUM_K_VALUES:
+        raise UsageError(
+            f"spectrum k-range [{k_range[0]}, {k_range[1]}] is wider than "
+            f"{_MAX_SPECTRUM_K_VALUES} values"
+        )
+    records = type1_eigenvalues(g, hp, r, eps, k_range)
     if provider is not None:
         records += type2_records(provider, r, eps, g.m)
     rows = [

@@ -212,9 +212,8 @@ def hrr_chi(g: Geometry, param: str = "k") -> ParamScalar:
 
 
 def index_integral(g: Geometry, r: Fraction) -> Fraction:
-    """∫₀^r χ(s) ds with χ the HRR polynomial in a continuous parameter."""
-    if r < 0:
-        raise UsageError("index integral requires r >= 0")
+    """∫₀^r χ(s) ds with χ the HRR polynomial in a continuous parameter
+    (a signed integral, so r may be negative)."""
     chi = hrr_chi(g, "s").univariate("s")
     total = Fraction(0)
     for a, coeff in enumerate(chi):

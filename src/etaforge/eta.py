@@ -287,6 +287,7 @@ _T2_WINDOWS = (
     (Fraction(6, 5), Fraction(11, 4)),
     (Fraction(2), Fraction(19, 2)),
 )
+_T2_EPS = (Fraction(1, 10), Fraction(1, 100))
 
 
 def default_calibration_suite() -> list[tuple[Geometry, HodgeProvider]]:
@@ -316,23 +317,42 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
     return True
 
 
-def _t2_pieces(suite, conv: ConventionSet) -> list[tuple[Fraction, Fraction]]:
-    """(ΔA, R) on every T2 window, for conv's sign_c.
+def _t2_windows(suite) -> list[tuple[Geometry, HodgeProvider, Fraction, Fraction]]:
+    """(g, hp, r0, r1) for every T2 window on the surfaces with no Hodge data at k = 0."""
+    return [
+        (g, hp, r0, r1)
+        for g, hp in suite
+        if g.m == 1 and hp.h(0, 0) == 0 and hp.h(1, 0) == 0
+        for r0, r1 in _T2_WINDOWS
+    ]
 
-    ΔA is the adiabatic-limit difference and R the knob-free APS right-hand
-    side minus the δ-flow difference; the transgression cancels in η̄(r1) - η̄(r0), so
-    the APS relation holds on a window exactly when ΔA == flow_factor·R.
+
+def _t2_rest(suite) -> list[Fraction]:
+    """R on every T2 window and ε: the knob-free APS right-hand side minus the
+    δ-flow difference.  No convention knob enters it, so calibrate() builds
+    it once for both signs."""
+    return [
+        _aps_rhs(g, hp, r0, r1, eps)
+        - (flow_in_delta_closed(g, hp, r1, eps) - flow_in_delta_closed(g, hp, r0, eps))
+        for g, hp, r0, r1 in _t2_windows(suite)
+        for eps in _T2_EPS
+    ]
+
+
+def _t2_pieces(
+    suite, conv: ConventionSet, rest: list[Fraction]
+) -> list[tuple[Fraction, Fraction]]:
+    """(ΔA, R) on every T2 window and ε, for conv's sign_c; rest is _t2_rest(suite).
+
+    ΔA is the adiabatic-limit difference, the only piece that depends on
+    sign_c; the transgression cancels in η̄(r1) - η̄(r0), so the APS relation
+    holds on a window exactly when ΔA == flow_factor·R.
     """
-    pieces = []
-    for g, hp in suite:
-        if g.m != 1 or hp.h(0, 0) != 0 or hp.h(1, 0) != 0:
-            continue
-        for r0, r1 in _T2_WINDOWS:
-            d_adia = adiabatic_limit(g, hp, r1, conv) - adiabatic_limit(g, hp, r0, conv)
-            for eps in (Fraction(1, 10), Fraction(1, 100)):
-                d_flow = flow_in_delta_closed(g, hp, r1, eps) - flow_in_delta_closed(g, hp, r0, eps)
-                pieces.append((d_adia, _aps_rhs(g, hp, r0, r1, eps) - d_flow))
-    return pieces
+    d_adia = [
+        adiabatic_limit(g, hp, r1, conv) - adiabatic_limit(g, hp, r0, conv)
+        for g, hp, r0, r1 in _t2_windows(suite)
+    ]
+    return list(zip((d for d in d_adia for _ in _T2_EPS), rest))
 
 
 def _t2_holds(pieces, conv: ConventionSet) -> bool:
@@ -366,14 +386,16 @@ def calibrate(
     T3: the dimension-3 surface transgression value ε²l/12 - εχ/12.
 
     T1 and the T2/T3 pieces depend only on sign_c, so they are computed once
-    per sign (at flow_factor 1, transgression_scale 1); the candidates of a
-    sign are then decided by rational arithmetic on those pieces.
+    per sign (at flow_factor 1, transgression_scale 1), and the knob-free
+    part of the T2 pieces once for both signs; the candidates of a sign are
+    then decided by rational arithmetic on those pieces.
     """
     if suite is None:
         suite = default_calibration_suite()
     if not any(g.m == 1 for g, _ in suite):
         raise UsageError("calibration suite must contain surface presets")
     checked = 0
+    rest: list[Fraction] | None = None  # built when the first sign passes T1
     survivors: list[ConventionSet] = []
     t3: dict[int, list[tuple[Fraction, Fraction]]] = {}  # for signs with survivors
     for sign_c in (1, -1):
@@ -386,7 +408,9 @@ def calibrate(
         checked += len(candidates)
         if not _t1_holds(suite, unit):
             continue
-        t2 = _t2_pieces(suite, unit)
+        if rest is None:
+            rest = _t2_rest(suite)
+        t2 = _t2_pieces(suite, unit, rest)
         passed = [conv for conv in candidates if _t2_holds(t2, conv)]
         if passed:
             t3[sign_c] = _t3_pieces(suite, unit)

@@ -1,9 +1,10 @@
 """Endomorphism-valued alternating forms on a model Kähler tangent space.
 
-Dense exact engine for small dimensions: forms are stored on sorted basis
-tuples, wedge products expand over shuffles with matrix composition, and all
-identities are checked by exhaustive basis-tuple evaluation.  Scalars are
-rationals except in the complexified traces, where Gaussian rationals appear.
+Exact engine for small dimensions: forms are stored on sorted basis tuples,
+wedge products expand over shuffles with matrix composition that skips zero
+entries (almost all entries of these tensors are zero), and all identities
+are checked by exhaustive basis-tuple evaluation.  Scalars are rationals
+except in the complexified traces, where Gaussian rationals appear.
 """
 
 from __future__ import annotations
@@ -95,15 +96,29 @@ def mat_scale(a: Matrix, s) -> Matrix:
     return tuple(tuple(x * s for x in row) for row in a)
 
 
+def _sparse_rows(b: Matrix) -> list[list[tuple[int, object]]]:
+    """The (column, entry) pairs of each row of b whose entry is nonzero."""
+    return [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+
+
+def _mul_into(acc: list[list], a: Matrix, b_rows, sign: int = 1) -> None:
+    """acc += sign·(a @ b), visiting only the nonzero entries of a against
+    b's nonzero rows (b given as _sparse_rows(b))."""
+    for acc_row, row in zip(acc, a):
+        for k, x in enumerate(row):
+            if x == 0 or not b_rows[k]:
+                continue
+            if sign < 0:
+                x = -x
+            for j, y in b_rows[k]:
+                acc_row[j] = acc_row[j] + x * y
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     size = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    acc = [[Fraction(0)] * size for _ in range(size)]
+    _mul_into(acc, a, _sparse_rows(b))
+    return tuple(tuple(row) for row in acc)
 
 
 def mat_trace(a: Matrix):
@@ -267,15 +282,15 @@ class EndForm:
         out: dict[tuple[int, ...], Matrix] = {}
         if degree > self.dim:
             return EndForm(degree, self.dim, self.size, out)
+        other_rows = {key: _sparse_rows(b) for key, b in other.values.items()}
         for combo in itertools.combinations(range(self.dim), degree):
-            acc = mat_zero(self.size)
+            acc = [[Fraction(0)] * self.size for _ in range(self.size)]
             for sign, left, right in _shuffles(combo, self.degree):
                 a = self.values.get(left)
-                b = other.values.get(right)
-                if a is not None and b is not None:
-                    acc = mat_add(acc, mat_scale(mat_mul(a, b), Fraction(sign)))
-            if not _is_zero_matrix(acc):
-                out[combo] = acc
+                b_rows = other_rows.get(right)
+                if a is not None and b_rows is not None:
+                    _mul_into(acc, a, b_rows, sign)
+            out[combo] = tuple(tuple(row) for row in acc)
         return EndForm(degree, self.dim, self.size, out)
 
     def power(self, n: int) -> "EndForm":

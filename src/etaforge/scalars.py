@@ -9,6 +9,7 @@ them is the only way a numeric value ever appears.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -341,7 +342,17 @@ def universal_series(name: str, D: int) -> TruncSeries:
     p_ahat_deriv formal derivative of p_ahat
     f_integer    (1/2) (z - tanh z)/(z tanh z)
     f_fractional (1/2) [exp(a z)/sinh z - 1/z], "a" a formal parameter
+
+    Each (name, D) is built once per process; repeat calls return the same
+    series object, which callers must not mutate.
     """
+    # a plain function in front of the cache, so that tools wrapping this
+    # module's public functions still see (and count) every call
+    return _universal_series(name, D)
+
+
+@functools.lru_cache(maxsize=None)
+def _universal_series(name: str, D: int) -> TruncSeries:
     if D < 1:
         raise UsageError("truncation order must be at least 1")
     if name == "todd":

@@ -145,7 +145,11 @@ class EigRecord:
 @dataclass(frozen=True)
 class DolbeaultProvider:
     """Declared Dolbeault data: entries (k, p, μ², e_μ^{p,k}) and a positive
-    lower bound M on the stored μ² values."""
+    lower bound M on the stored μ² values.
+
+    Lookups go through an index of the entries keyed by (k, p, μ²), built
+    once; when a key repeats, its first entry is the one returned.
+    """
 
     entries: tuple[tuple[int, int, Fraction, int], ...]
     lower_bound: Fraction
@@ -153,6 +157,7 @@ class DolbeaultProvider:
     def __post_init__(self) -> None:
         if self.lower_bound <= 0:
             raise UsageError("lower bound M must be positive")
+        index: dict[tuple[int, int, Fraction], int] = {}
         for k, p, mu_sq, e in self.entries:
             if mu_sq <= 0:
                 raise UsageError("Dolbeault eigenvalue data must be positive")
@@ -160,12 +165,11 @@ class DolbeaultProvider:
                 raise UsageError("multiplicities must be nonnegative")
             if mu_sq < self.lower_bound:
                 raise UsageError("declared lower bound exceeds a stored eigenvalue")
+            index.setdefault((k, p, mu_sq), e)
+        object.__setattr__(self, "_index", index)
 
     def e(self, k: int, p: int, mu_sq: Fraction) -> int:
-        for kk, pp, mm, e in self.entries:
-            if (kk, pp, mm) == (k, p, mu_sq):
-                return e
-        return 0
+        return self._index.get((k, p, mu_sq), 0)
 
 
 def type1_eigenvalues(

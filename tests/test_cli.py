@@ -1,6 +1,7 @@
 """Command-line front end: values, exit codes, determinism, config plumbing."""
 
 import json
+import time
 from fractions import Fraction
 
 import etaforge.cli as cli
@@ -153,6 +154,30 @@ def test_aps_check_passes_at_kernel_endpoint(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["lhs"] == payload["rhs"] == "1691/7200"
+
+
+def test_aps_check_accepts_negative_endpoint(capsys):
+    code, out, _ = _run(
+        capsys,
+        "eta", "aps-check", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r0=-9/10", "--r1", "1/2", "--eps", "1/5",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["lhs"] == payload["rhs"] == "-7/25"
+
+
+def test_spectrum_refuses_huge_k_range(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys,
+        "spectrum", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r", "0", "--eps", "1/10", "--k-min", "0", "--k-max", "3000000",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
 
 
 def test_flow_mismatch_exits_three(monkeypatch, capsys):

@@ -101,8 +101,8 @@ def test_index_integral_surface():
     g = surface_geometry(0, 3)
     assert index_integral(g, Fraction(2)) == Fraction(3 * 4, 2)
     assert index_integral(g, Fraction(1, 2)) == Fraction(3, 8)
-    with pytest.raises(UsageError):
-        index_integral(g, Fraction(-1))
+    # a signed integral: ∫₀^{-1} 3s ds = 3/2
+    assert index_integral(g, Fraction(-1)) == Fraction(3, 2)
 
 
 def test_hrr_chi_integer_valued_on_abelian_like():

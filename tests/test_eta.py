@@ -243,6 +243,20 @@ def test_aps_difference_at_kernel_endpoints(genus, degree, h00, p, k):
         assert check.passed, (r0, r1, check.lhs, check.rhs)
 
 
+def test_aps_difference_at_negative_kernel_endpoint():
+    # r = -9/10 = -1 + ε/2 is where the p=1 family with k=-1 reaches zero
+    g, hp = _genus0(1)
+    eps = Fraction(1, 5)
+    assert hp.h(1, -1) != 0
+    for r0, r1, value in (
+        (Fraction(-2), Fraction(-9, 10), Fraction(281, 200)),
+        (Fraction(-9, 10), Fraction(1, 2), Fraction(-7, 25)),
+    ):
+        check = aps_difference_check(g, hp, r0, r1, eps)
+        assert check.passed
+        assert check.lhs == check.rhs == value
+
+
 _REDUCED_SCALES = (Fraction(-1), Fraction(1, 2), Fraction(2))
 
 
@@ -286,10 +300,11 @@ def test_calibration_matches_per_candidate_brute_force(brute_verdicts, monkeypat
         monkeypatch.setattr(eta_mod, "_SCALE_CANDIDATES", scales)
     candidates = _candidates(eta_mod._SCALE_CANDIDATES)
     suite = default_calibration_suite()
+    rest = eta_mod._t2_rest(suite)
     for sign_c in (1, -1):
         unit = ConventionSet(sign_c, 1, Fraction(1))
         t1 = eta_mod._t1_holds(suite, unit)
-        t2 = eta_mod._t2_pieces(suite, unit)
+        t2 = eta_mod._t2_pieces(suite, unit, rest)
         t3 = eta_mod._t3_pieces(suite, unit)
         for conv in (c for c in candidates if c.sign_c == sign_c):
             rebuilt = (t1, eta_mod._t2_holds(t2, conv), eta_mod._t3_holds(t3, conv))

@@ -8,6 +8,7 @@ import pytest
 
 from etaforge.errors import UsageError
 from etaforge.forms import (
+    EndForm,
     GaussRat,
     I,
     KahlerModel,
@@ -86,6 +87,86 @@ def test_endform_wedge_associative():
     t = build_tensors(model)
     a, b, c = t["Omega"], t["alpha1"], t["alpha2"]
     assert a.wedge(b.wedge(c)) == a.wedge(b).wedge(c)
+
+
+def _dense_mul(a, b):
+    """Schoolbook product over every index, zeros included."""
+    size = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def _random_sparse_matrix(rng, size, entry):
+    """Mostly zero, with one zero row and one zero column forced."""
+    zero_row, zero_col = rng.randrange(size), rng.randrange(size)
+    return tuple(
+        tuple(
+            entry() if i != zero_row and j != zero_col and rng.random() < 0.3 else Fraction(0)
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+
+
+@pytest.mark.parametrize("ring", ["fraction", "gauss"])
+def test_mat_mul_matches_dense_reference(ring):
+    rng = random.Random(11)
+
+    def fraction():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def gauss():
+        return GaussRat(fraction(), fraction())
+
+    entry = fraction if ring == "fraction" else gauss
+    for size in (1, 2, 3, 5, 7):
+        for _ in range(20):
+            a = _random_sparse_matrix(rng, size, entry)
+            b = _random_sparse_matrix(rng, size, entry)
+            assert mat_mul(a, b) == _dense_mul(a, b)
+
+
+def _reference_wedge(f, g):
+    """(f∧g)(combo) = Σ over splits of combo of sign · f(left) @ g(right),
+    with dense products and the split sign counted from inversions."""
+    size = f.size
+    out = {}
+    for combo in itertools.combinations(range(f.dim), f.degree + g.degree):
+        acc = [[Fraction(0)] * size for _ in range(size)]
+        for left_pos in itertools.combinations(range(len(combo)), f.degree):
+            right_pos = [i for i in range(len(combo)) if i not in left_pos]
+            order = list(left_pos) + right_pos
+            inversions = sum(
+                1 for i, j in itertools.combinations(range(len(order)), 2) if order[i] > order[j]
+            )
+            left = tuple(combo[i] for i in left_pos)
+            right = tuple(combo[i] for i in right_pos)
+            prod = _dense_mul(f(*left), g(*right))
+            for i in range(size):
+                for j in range(size):
+                    acc[i][j] += (-1) ** inversions * prod[i][j]
+        out[combo] = tuple(tuple(row) for row in acc)
+    return EndForm(f.degree + g.degree, f.dim, size, out)
+
+
+def test_endform_wedge_matches_dense_reference():
+    model = KahlerModel(2)
+    t = build_tensors(model)
+    curv = constant_curvature_block(model, Fraction(3, 2))
+    omega_j = t["Omega"].right_mul(t["J"])
+    pairs = [
+        (t["Omega"], t["Omega"]),
+        (t["Omega"], curv),
+        (curv, t["alpha1"]),
+        (t["alpha1"], t["alpha2"]),
+        (t["alpha3"], omega_j),
+        (omega_j, omega_j),
+        (t["alpha1"], curv),
+    ]
+    for f, g in pairs:
+        assert f.wedge(g) == _reference_wedge(f, g)
 
 
 def _apply(mat, column_index, dim):

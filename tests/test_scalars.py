@@ -267,6 +267,17 @@ def test_f_fractional_periodicity_in_r():
         assert f.substitute({"a": a0}) == f.substitute({"a": a1})
 
 
+def test_universal_series_is_memoised_and_still_validates():
+    for name in ("todd", "p_ahat", "p_ahat_deriv", "f_integer", "f_fractional"):
+        assert universal_series(name, ORDER) is universal_series(name, ORDER)
+    assert universal_series("todd", ORDER) is not universal_series("todd", ORDER + 1)
+    for _ in range(2):
+        with pytest.raises(UsageError):
+            universal_series("todd", 0)
+        with pytest.raises(UsageError):
+            universal_series("no_such_series", ORDER)
+
+
 def test_fractional_part():
     assert fractional_part(Fraction(7, 5)) == Fraction(2, 5)
     assert fractional_part(Fraction(-1, 3)) == Fraction(2, 3)

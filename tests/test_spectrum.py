@@ -130,6 +130,24 @@ def test_type2_collapses_to_type1_as_mu_vanishes():
             assert abs(g - float(t)) < float(mu_sq)
 
 
+def test_dolbeault_lookup_first_entry_wins_and_missing_is_zero():
+    provider = DolbeaultProvider(
+        entries=(
+            (0, 0, Fraction(2), 3),
+            (1, 0, Fraction(2), 4),
+            (0, 0, Fraction(2), 7),
+            (0, 1, Fraction(5, 2), 1),
+        ),
+        lower_bound=Fraction(1),
+    )
+    assert provider.e(0, 0, Fraction(2)) == 3
+    assert provider.e(0, 0, 2) == 3  # an equal int key finds the Fraction entry
+    assert provider.e(1, 0, Fraction(2)) == 4
+    assert provider.e(0, 1, Fraction(5, 2)) == 1
+    assert provider.e(0, 1, Fraction(2)) == 0
+    assert provider.e(2, 0, Fraction(2)) == 0
+
+
 def test_alternating_multiplicity_and_invalid_data():
     good = DolbeaultProvider(
         entries=(
