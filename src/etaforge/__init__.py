@@ -10,7 +10,6 @@ neither do not pay for loading them (PEP 562).
 from importlib import import_module as _import_module
 
 from .cohomology import (
-    CohClass,
     Geometry,
     char_class,
     hrr_chi,

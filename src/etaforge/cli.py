@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,11 @@ _MAX_SPECTRUM_K_VALUES = 100_000
 
 class _Parser(argparse.ArgumentParser):
     """argparse that signals usage problems via UsageError (exit code 1)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative rational such as `--r0 -9/10` is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -178,14 +184,16 @@ def _conv_record(conv: ConventionSet) -> dict:
     }
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write to the --out file if one is given, else to stdout."""
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    _write(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n", args)
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
@@ -197,11 +205,7 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], args: argparse.Namespace)
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args)
 
 
 def _require_rat(args: argparse.Namespace, cfg: dict, name: str) -> Fraction:
@@ -521,57 +525,51 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=("surface", "projective"))
-    parser.add_argument("--genus", type=int)
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--h00", type=int)
-    parser.add_argument("--r")
-    parser.add_argument("--eps")
-    parser.add_argument("--r0")
-    parser.add_argument("--r1")
-    parser.add_argument("--k-min", dest="k_min", type=int)
-    parser.add_argument("--k-max", dest="k_max", type=int)
-    parser.add_argument("--config")
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--conventions")
+_FLAGS = {
+    "preset": {"choices": ("surface", "projective")},
+    "genus": {"type": int},
+    "degree": {"type": int},
+    "m": {"type": int},
+    "h00": {"type": int},
+    "config": {},
+    "r": {},
+    "eps": {},
+    "r0": {},
+    "r1": {},
+    "k-min": {"type": int},
+    "k-max": {"type": int},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "conventions": {},
+    "out": {},
+}
+# the flags that choose the geometry and its Hodge data
+_INPUT_FLAGS = "preset genus degree m h00 config"
 
 
 def build_parser() -> _Parser:
+    """Each subcommand takes exactly the flags it reads; any other is an error."""
     parser = _Parser(prog="etaforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    eta_parser = sub.add_parser("eta", help="eta invariant computations")
-    eta_parser.add_argument(
-        "eta_mode", choices=("exact", "asymptotic", "adiabatic", "aps-check")
-    )
-    _add_common(eta_parser)
-    eta_parser.set_defaults(func=cmd_eta)
-
-    spectrum_parser = sub.add_parser("spectrum", help="dump eigenvalue records")
-    _add_common(spectrum_parser)
-    spectrum_parser.set_defaults(func=cmd_spectrum)
-
-    flow_parser = sub.add_parser("flow", help="spectral flow, closed form and oracle")
-    _add_common(flow_parser)
-    flow_parser.set_defaults(func=cmd_flow)
-
-    measure_parser = sub.add_parser("measure", help="spectral measure checks")
-    measure_parser.add_argument("measure_mode", choices=("check",))
-    _add_common(measure_parser)
-    measure_parser.set_defaults(func=cmd_measure)
-
-    identities_parser = sub.add_parser("identities", help="tensor identity suites")
-    identities_parser.add_argument("identities_mode", choices=("run",))
-    _add_common(identities_parser)
-    identities_parser.set_defaults(func=cmd_identities)
-
-    calibrate_parser = sub.add_parser("calibrate", help="fix the convention knobs")
-    _add_common(calibrate_parser)
-    calibrate_parser.set_defaults(func=cmd_calibrate)
-
+    for name, help_text, mode, func, flags in (
+        ("eta", "eta invariant computations",
+         ("eta_mode", ("exact", "asymptotic", "adiabatic", "aps-check")),
+         cmd_eta, f"{_INPUT_FLAGS} r eps r0 r1 conventions out"),
+        ("spectrum", "dump eigenvalue records", None,
+         cmd_spectrum, f"{_INPUT_FLAGS} r eps k-min k-max format out"),
+        ("flow", "spectral flow, closed form and oracle", None,
+         cmd_flow, f"{_INPUT_FLAGS} r eps r0 r1 format out"),
+        ("measure", "spectral measure checks", ("measure_mode", ("check",)),
+         cmd_measure, "config out"),
+        ("identities", "tensor identity suites", ("identities_mode", ("run",)),
+         cmd_identities, "out"),
+        ("calibrate", "fix the convention knobs", None, cmd_calibrate, "conventions out"),
+    ):
+        sub_parser = sub.add_parser(name, help=help_text)
+        if mode is not None:
+            sub_parser.add_argument(mode[0], choices=mode[1])
+        for flag in flags.split():
+            sub_parser.add_argument(f"--{flag}", **_FLAGS[flag])
+        sub_parser.set_defaults(func=func)
     return parser
 
 

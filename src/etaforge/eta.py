@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cohomology import (
-    CohClass,
     Geometry,
     char_class,
     index_integral,
@@ -76,9 +75,9 @@ class EtaValue:
         return 2 * self.value - self.kernel_dim
 
 
-def _oriented_c(g: Geometry, conv: ConventionSet, scale: ScalarLike = 1) -> CohClass:
+def _oriented_c(g: Geometry, conv: ConventionSet, scale: ScalarLike = 1) -> TruncSeries:
     coef = ParamScalar.coerce(scale) * Fraction(conv.sign_c) * g.c1L
-    return CohClass(g.m, [0, coef])
+    return TruncSeries(g.m, [0, coef])
 
 
 def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
@@ -140,11 +139,11 @@ def transgression(
     p_deriv = universal_series("p_ahat_deriv", D)
     delta = ParamScalar.var("delta")
     w_coef = delta * Fraction(conv.sign_c) * g.c1L
-    shift = CohClass(g.m, [0, w_coef])
-    omega0 = CohClass.constant(g.m, 0)
-    omega2 = CohClass.constant(g.m, 0)
+    shift = TruncSeries(g.m, [0, w_coef])
+    omega0 = TruncSeries.constant(0, g.m)
+    omega2 = TruncSeries.constant(0, g.m)
     for root in g.tangent_roots:
-        arg = CohClass.generator(g.m, root) + shift
+        arg = TruncSeries(g.m, [0, root]) + shift
         omega0 = omega0 + arg.apply_series(p_even).scale(2)
         omega2 = omega2 + arg.apply_series(p_deriv).scale(2)
     omega0 = omega0 + shift.apply_series(p_even).scale(2)
@@ -201,7 +200,7 @@ def asymptotic_eta(
     total = Fraction(0)
     for a in range(g.m + 1):
         density = (
-            g.c1L**a * profile.degree_part(g.m - a).as_fraction() * g.top_integral
+            g.c1L**a * profile.coeffs[g.m - a].as_fraction() * g.top_integral
         )
         if density == 0:
             continue
@@ -301,17 +300,16 @@ def default_calibration_suite() -> list[tuple[Geometry, HodgeProvider]]:
 
 def _t1_holds(suite, conv: ConventionSet) -> bool:
     """Continuity at r -> 0+ whenever no Hodge number at k=0 is nonzero."""
-    r = ParamScalar.var("r")
     for g, hp in suite:
         try:
             if any(hp.h(p, 0) != 0 for p in range(g.m + 1)):
                 continue
         except UnknownHodgeData:
             continue
-        # on (0,1) the fractional part of r is r itself
-        f = universal_series("f_fractional", g.series_order).substitute({"a": 1 - r * 2})
-        symbolic = _adiabatic_bracket(g, conv, f, r)
-        limit = symbolic.substitute({"r": Fraction(0)}).as_fraction()
+        # on (0,1) the bracket is a polynomial in r with a = 1 - 2r, so its
+        # r -> 0+ limit is its value at a = 1, r = 0
+        f = universal_series("f_fractional", g.series_order).substitute({"a": 1})
+        limit = _adiabatic_bracket(g, conv, f, 0).as_fraction()
         if limit != adiabatic_limit(g, hp, Fraction(0), conv):
             return False
     return True

@@ -434,6 +434,8 @@ def constant_curvature_block(model: KahlerModel, kappa: Fraction) -> EndForm:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Named pass/fail checks of one identity or trace-expansion suite."""
+
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -536,18 +538,9 @@ def _to_gauss_scalar(form: ScalarForm) -> ScalarForm:
     )
 
 
-@dataclass(frozen=True)
-class TraceExpansionReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
 def trace_expansion_check(
     m: int, N: int, delta: Fraction, kappa: Fraction = Fraction(1)
-) -> TraceExpansionReport:
+) -> IdentityReport:
     """The three trace identities for A = R + 2δ(ω⊗J) + δΩ against their
     complexified right-hand sides, exactly over Gaussian rationals.
 
@@ -600,4 +593,4 @@ def trace_expansion_check(
         ok3 = lhs3.is_zero()
     checks.append(("omega_j_trace_power", ok3))
 
-    return TraceExpansionReport(tuple(checks))
+    return IdentityReport(tuple(checks))

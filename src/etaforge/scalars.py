@@ -116,18 +116,20 @@ class ParamScalar:
             n >>= 1
         return result
 
-    def substitute(self, values: Mapping[str, "ScalarLike"]) -> "ParamScalar":
-        """Replace named parameters by rationals or other polynomials."""
-        out = ParamScalar.const(0)
+    def substitute(self, values: Mapping[str, RationalLike]) -> "ParamScalar":
+        """Replace named parameters by rationals; the others stay formal."""
+        values = {name: _as_fraction(v) for name, v in values.items()}
+        out: dict[Monomial, Fraction] = {}
         for mono, c in self.coeffs.items():
-            term = ParamScalar.const(c)
+            kept = []
             for name, exp in mono:
                 if name in values:
-                    term = term * ParamScalar.coerce(values[name]) ** exp
+                    c *= values[name] ** exp
                 else:
-                    term = term * ParamScalar.var(name) ** exp
-            out = out + term
-        return out
+                    kept.append((name, exp))
+            key = tuple(kept)
+            out[key] = out.get(key, Fraction(0)) + c
+        return ParamScalar(out)
 
     def as_fraction(self) -> Fraction:
         if not self.coeffs:
@@ -176,7 +178,9 @@ class TruncSeries:
     """Univariate power series truncated at a fixed order D.
 
     Coefficients are ParamScalar, so a series may carry formal parameters
-    (the fractional-part variable "a" of the eta-form bracket does).
+    (the fractional-part variable "a" of the eta-form bracket does).  A
+    cohomology class of an m-dimensional base is one of order m: a
+    polynomial in the generator u with u^{m+1} = 0.
     """
 
     __slots__ = ("order", "coeffs")
@@ -230,6 +234,23 @@ class TruncSeries:
     def scale(self, s: ScalarLike) -> "TruncSeries":
         s = ParamScalar.coerce(s)
         return TruncSeries(self.order, [c * s for c in self.coeffs])
+
+    def apply_series(self, series: "TruncSeries") -> "TruncSeries":
+        """series(self), truncated at this order.
+
+        The constant term of self must vanish so that powers terminate; the
+        constant term of series may be anything.
+        """
+        if not self.coeffs[0].is_zero():
+            raise UsageError("series argument must have zero constant term")
+        if series.order < self.order:
+            raise UsageError("series truncated below the order of its argument")
+        result = TruncSeries.constant(series.coeffs[0], self.order)
+        power = TruncSeries.constant(1, self.order)
+        for i in range(1, self.order + 1):
+            power = power * self
+            result = result + power.scale(series.coeffs[i])
+        return result
 
     def exp(self) -> "TruncSeries":
         if not self.coeffs[0].is_zero():
@@ -296,7 +317,7 @@ class TruncSeries:
             q.append(acc * inv)
         return TruncSeries(self.order, q)
 
-    def substitute(self, values: Mapping[str, ScalarLike]) -> "TruncSeries":
+    def substitute(self, values: Mapping[str, RationalLike]) -> "TruncSeries":
         return TruncSeries(self.order, [c.substitute(values) for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:

@@ -4,6 +4,8 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
+
 import etaforge.cli as cli
 import etaforge.eta as eta_mod
 from etaforge.cli import main
@@ -166,6 +168,67 @@ def test_aps_check_accepts_negative_endpoint(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["lhs"] == payload["rhs"] == "-7/25"
+
+
+def test_negative_rational_after_a_space_is_a_value(capsys):
+    base = ["eta", "aps-check", "--preset", "surface", "--genus", "0", "--degree", "1"]
+    spaced = _run(capsys, *base, "--r0", "-9/10", "--r1", "1/2", "--eps", "1/5")
+    joined = _run(capsys, *base, "--r0=-9/10", "--r1", "1/2", "--eps", "1/5")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1] == joined[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "exact", "--preset", "surface", "--r", "0", "--eps", "1/10", "--format", "csv"],
+        ["eta", "adiabatic", "--preset", "surface", "--r", "0", "--eps", "1/10", "--k-min", "0"],
+        ["spectrum", "--preset", "surface", "--r", "0", "--eps", "1/10", "--k-min", "0",
+         "--k-max", "1", "--conventions", "c.json"],
+        ["flow", "--preset", "surface", "--r", "0", "--eps", "1/10", "--k-max", "3"],
+        ["measure", "check", "--eps", "1/10"],
+        ["identities", "run", "--genus", "7"],
+        ["identities", "run", "--config", "cfg.json"],
+        ["calibrate", "--format", "csv"],
+    ],
+)
+def test_flag_a_command_does_not_read_is_refused(argv, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError"
+    assert "unrecognized arguments" in record["detail"]
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if a.dest == "command"
+    ).choices
+    flags = {
+        name: sorted(o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sp in subparsers.items()
+    }
+    source = ["--config", "--degree", "--genus", "--h00", "--m", "--preset"]
+    assert flags == {
+        "eta": sorted(source + ["--r", "--eps", "--r0", "--r1", "--conventions", "--out"]),
+        "spectrum": sorted(source + ["--r", "--eps", "--k-min", "--k-max", "--format", "--out"]),
+        "flow": sorted(source + ["--r", "--eps", "--r0", "--r1", "--format", "--out"]),
+        "measure": ["--config", "--out"],
+        "identities": ["--out"],
+        "calibrate": ["--conventions", "--out"],
+    }
+    assert sum(len(v) for v in flags.values()) == 41
+
+
+def test_zero_dimensional_geometry_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {
+        "m": 0, "top_integral": "1", "c1L": "1", "c1K": "0", "tangent_roots": [],
+    }}))
+    code, out, err = _run(capsys, "eta", "exact", "--config", str(cfg), "--r", "0", "--eps", "1/10")
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "at least 1" in record["detail"]
 
 
 def test_spectrum_refuses_huge_k_range(capsys):

@@ -19,6 +19,7 @@ from etaforge.eta import (
     transgression,
 )
 from etaforge.hodge import SurfaceHodge
+from etaforge.scalars import ParamScalar, TruncSeries, universal_series
 from etaforge.spectrum import DolbeaultProvider
 
 
@@ -209,6 +210,43 @@ def test_t1_skips_only_unknown_hodge_data():
     # genus 2 without a declared h^{0,0}: the k=0 data is unknown, so T1 skips it
     suite = [(surface_geometry(2, 3), SurfaceHodge(2, 3))]
     assert eta_mod._t1_holds(suite, DEFAULT_CONVENTIONS)
+
+
+def _substitute_polynomial(p, name, value):
+    """p with the parameter name replaced by the polynomial value, by ring
+    operations term by term."""
+    out = ParamScalar.const(0)
+    for mono, c in p.coeffs.items():
+        term = ParamScalar.const(c)
+        for n, e in mono:
+            term = term * (value if n == name else ParamScalar.var(n)) ** e
+        out = out + term
+    return out
+
+
+class _NoKernelAtZero:
+    """Hodge data that vanishes at k = 0, so T1 applies to every surface."""
+
+    def h(self, p, k):
+        return 0
+
+
+@pytest.mark.parametrize("sign_c", [1, -1])
+def test_t1_limit_equals_symbolic_limit_in_r(sign_c, monkeypatch):
+    """T1 compares the adiabatic limit at 0 with the r -> 0+ limit of the
+    fractional bracket.  The reference keeps r formal (a = 1 - 2r), builds
+    the bracket as a polynomial in r, and only then sets r = 0; T1 must hold
+    exactly when the limit at 0 equals it."""
+    conv = ConventionSet(sign_c, 1, Fraction(1))
+    r = ParamScalar.var("r")
+    for g, _ in default_calibration_suite():
+        f = universal_series("f_fractional", g.series_order)
+        f_r = TruncSeries(f.order, [_substitute_polynomial(c, "a", 1 - 2 * r) for c in f.coeffs])
+        symbolic = eta_mod._adiabatic_bracket(g, conv, f_r, r)
+        reference = _substitute_polynomial(symbolic, "r", ParamScalar.const(0)).as_fraction()
+        for offset, holds in ((0, True), (Fraction(1, 7), False)):
+            monkeypatch.setattr(eta_mod, "adiabatic_limit", lambda *a, v=reference + offset: v)
+            assert eta_mod._t1_holds([(g, _NoKernelAtZero())], conv) is holds, (g.label, offset)
 
 
 def test_provider_bug_propagates_out_of_calibration():

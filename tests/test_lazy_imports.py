@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The public names of the package when it imported every submodule eagerly.
 PUBLIC_NAMES = sorted("""
-ApsCheck CalibrationResult CohClass ConventionSet Crossing DEFAULT_CONVENTIONS
+ApsCheck CalibrationResult ConventionSet Crossing DEFAULT_CONVENTIONS
 DolbeaultProvider EigRecord EndForm EtaValue EtaforgeError FlowResult GaussRat
 Geometry HodgeProvider HrrVanishingHodge InvalidDolbeaultData KahlerModel
 LaplaceCheck ModelPoint NearZeroBound NoConsistentConvention ParamScalar

@@ -57,6 +57,37 @@ def test_substitution_is_evaluation(p, vx, vy):
     assert p.substitute(env).as_fraction() == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(_poly(), st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_partial_substitution_keeps_the_other_parameters(p, vx, vy):
+    """Substituting x leaves a polynomial in y whose monomials have merged;
+    substituting y into it then gives the full evaluation."""
+    partial = p.substitute({"x": vx})
+    assert "x" not in partial.params
+    assert partial.substitute({"y": vy}) == p.substitute({"x": vx, "y": vy})
+
+
+def test_substitute_takes_rationals_only():
+    x, y = ParamScalar.var("x"), ParamScalar.var("y")
+    p = x * y + x * 3
+    assert p.substitute({"y": 1}) == x * 4
+    with pytest.raises(UsageError):
+        p.substitute({"x": y + 1})
+    with pytest.raises(UsageError):
+        TruncSeries(2, [0, x]).substitute({"x": 0.5})
+
+
+def test_apply_series_composes_and_checks_its_arguments():
+    u = TruncSeries(3, [0, Fraction(2), Fraction(-1)])
+    exp_series = TruncSeries(ORDER, [Fraction(1, math.factorial(n)) for n in range(ORDER + 1)])
+    assert u.apply_series(exp_series) == u.exp()
+    with pytest.raises(UsageError):
+        (u + TruncSeries.constant(1, 3)).apply_series(exp_series)
+    with pytest.raises(UsageError):
+        TruncSeries(ORDER + 1, [0, 1]).apply_series(exp_series)
+
+
 def test_as_fraction_rejects_parameters():
     p = ParamScalar.var("a") + 3
     with pytest.raises(UsageError):
