@@ -2,9 +2,9 @@
 bundles over Kähler bases, with closed forms cross-validated against
 brute-force oracles.
 
-``forms`` (exterior-algebra suites) and ``measure`` (scipy quadrature) are
-imported on first use of one of their names, so that commands which need
-neither do not pay for loading them (PEP 562).
+``forms`` (exterior-algebra suites) and ``measure`` (floating-point
+spectral-measure checks) are imported on first use of one of their names, so
+that commands which need neither do not pay for loading them (PEP 562).
 """
 
 from importlib import import_module as _import_module
@@ -77,7 +77,6 @@ _LAZY = {
         "ModelPoint",
         "NearZeroBound",
         "laplace_check",
-        "limit_measure_apply",
         "near_zero_bound",
     ),
 }

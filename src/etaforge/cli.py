@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -231,7 +233,8 @@ def cmd_eta(args: argparse.Namespace) -> int:
     hp = _build_hodge(args, cfg, g)
     conv = _load_conventions(args, cfg)
     provider = _build_dolbeault(cfg)
-    eps = _require_rat(args, cfg, "eps")
+    # the adiabatic limit does not depend on eps, so that mode does not read it
+    eps = None if args.eta_mode == "adiabatic" else _require_rat(args, cfg, "eps")
 
     if args.eta_mode == "aps-check":
         r0 = _require_rat(args, cfg, "r0")
@@ -331,6 +334,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if k_min is None or k_max is None:
         raise UsageError("spectrum requires --k-min and --k-max")
     k_range = (int(k_min), int(k_max))
+    if k_range[0] > k_range[1]:
+        raise UsageError(f"spectrum k-range is empty: --k-min {k_range[0]} > --k-max {k_range[1]}")
     if k_range[1] - k_range[0] + 1 > _MAX_SPECTRUM_K_VALUES:
         raise UsageError(
             f"spectrum k-range [{k_range[0]}, {k_range[1]}] is wider than "
@@ -429,42 +434,36 @@ _DEFAULT_MEASURE_POINTS = (
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    from .measure import ModelPoint, laplace_check, near_zero_bound  # loads scipy
+    from .measure import ModelPoint, check_lattice_size, laplace_check, near_zero_bound
 
     cfg = _load_config(args.config)
-    m_cfg = cfg.get("measure", {})
-    points = m_cfg.get("points", list(_DEFAULT_MEASURE_POINTS))
-    t_values = m_cfg.get("t", [0.5, 1.0, 2.0])
-    s_max = float(m_cfg.get("s_max", 80.0))
-    eps_supports = m_cfg.get("eps_support", [0.25, 0.0625, 0.015625])
-    laplace_rows = []
-    near_rows = []
-    for raw in points:
-        pt = ModelPoint(int(raw["n"]), tuple(float(x) for x in raw["lambdas"]))
-        for t in t_values:
-            chk = laplace_check(pt, float(t), s_max / float(t))
-            laplace_rows.append(
-                {
-                    "n": pt.n,
-                    "lambdas": list(pt.lambdas),
-                    "t": float(t),
-                    "measured": chk.measured,
-                    "target": chk.target,
-                    "rel_error": chk.rel_error,
-                    "tail_bound": chk.tail_bound,
-                }
-            )
-        for eps_support in eps_supports:
-            nb = near_zero_bound(pt, float(eps_support))
-            near_rows.append(
-                {
-                    "n": pt.n,
-                    "lambdas": list(pt.lambdas),
-                    "eps_support": float(eps_support),
-                    "value": nb.value,
-                    "ratio": nb.ratio,
-                }
-            )
+    # read and validate the whole block before any maths runs
+    try:
+        m_cfg = cfg.get("measure", {})
+        points = [
+            ModelPoint(int(raw["n"]), tuple(float(x) for x in raw["lambdas"]))
+            for raw in m_cfg.get("points", _DEFAULT_MEASURE_POINTS)
+        ]
+        t_values = [float(t) for t in m_cfg.get("t", [0.5, 1.0, 2.0])]
+        s_max = float(m_cfg.get("s_max", 80.0))
+        eps_supports = [float(e) for e in m_cfg.get("eps_support", [0.25, 0.0625, 0.015625])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed measure config: {exc!r}") from exc
+    if not (all(0 < t < math.inf for t in t_values) and 0 < s_max < math.inf
+            and all(0 < e < 1 for e in eps_supports)):
+        raise UsageError("measure t and s_max must be positive and finite, eps_support in (0, 1)")
+    for pt in points:
+        check_lattice_size(pt, max([s_max / t for t in t_values] + eps_supports, default=0.0))
+    laplace_rows = [
+        {"n": pt.n, "lambdas": list(pt.lambdas), "t": t, **asdict(laplace_check(pt, t, s_max / t))}
+        for pt in points
+        for t in t_values
+    ]
+    near_rows = [
+        {"n": pt.n, "lambdas": list(pt.lambdas), "eps_support": e, **asdict(near_zero_bound(pt, e))}
+        for pt in points
+        for e in eps_supports
+    ]
     _emit(
         {"command": "measure check", "laplace": laplace_rows, "near_zero": near_rows},
         args,

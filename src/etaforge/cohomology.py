@@ -9,6 +9,7 @@ coefficients, so integration is a coefficient read-off.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,11 +117,16 @@ def hrr_chi(g: Geometry, param: str = "k") -> ParamScalar:
     return integrate(g, cls)
 
 
+@functools.lru_cache(maxsize=256)
+def _chi_coeffs(g: Geometry) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the HRR polynomial χ, built once per geometry."""
+    return tuple(hrr_chi(g, "s").univariate("s"))
+
+
 def index_integral(g: Geometry, r: Fraction) -> Fraction:
     """∫₀^r χ(s) ds with χ the HRR polynomial in a continuous parameter
     (a signed integral, so r may be negative)."""
-    chi = hrr_chi(g, "s").univariate("s")
     total = Fraction(0)
-    for a, coeff in enumerate(chi):
+    for a, coeff in enumerate(_chi_coeffs(g)):
         total += coeff * r ** (a + 1) / (a + 1)
     return total

@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -322,3 +323,51 @@ def test_measure_check_defaults(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(row["rel_error"] < 1e-6 for row in payload["laplace"])
+
+
+@pytest.mark.parametrize(
+    "measure_cfg",
+    [
+        {"t": [0.0]},
+        {"points": [{"lambdas": []}]},
+        {"points": [{"n": 5, "lambdas": [0.001, 0.001]}], "s_max": 80},
+        # a benign point first: the huge lattice of the second is still refused up front
+        {"points": [{"n": 3, "lambdas": [1.0]}, {"n": 5, "lambdas": [0.001, 0.001]}]},
+    ],
+)
+def test_hostile_measure_config_fails_before_any_maths(measure_cfg, tmp_path, monkeypatch, capsys):
+    import etaforge.measure as measure
+
+    def no_maths(*args):
+        raise AssertionError("maths ran before the config was validated")
+
+    monkeypatch.setattr(measure, "laplace_check", no_maths)
+    monkeypatch.setattr(measure, "near_zero_bound", no_maths)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": measure_cfg}))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "measure", "check", "--config", str(cfg))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_spectrum_refuses_swapped_k_range(capsys):
+    code, out, err = _run(
+        capsys,
+        "spectrum", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r", "0", "--eps", "1/10", "--k-min", "5", "--k-max", "-5",
+    )
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "k-range is empty" in record["detail"]
+
+
+def test_eta_adiabatic_does_not_need_eps(capsys):
+    code, out, _ = _run(
+        capsys, "eta", "adiabatic", "--preset", "surface", "--genus", "0", "--degree", "2",
+        "--r", "7/3",
+    )
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / "eta_adiabatic.json"
+    assert out == golden.read_text(encoding="utf-8")

@@ -112,6 +112,20 @@ def test_index_integral_surface():
     assert index_integral(g, Fraction(-1)) == Fraction(3, 2)
 
 
+def test_index_integral_builds_chi_once_per_geometry(monkeypatch):
+    import etaforge.cohomology as coh
+
+    g = projective_like_geometry(3, 2)
+    chi = hrr_chi(g, "s").univariate("s")
+    calls = []
+    monkeypatch.setattr(coh, "hrr_chi", lambda *a: calls.append(a) or hrr_chi(*a))
+    coh._chi_coeffs.cache_clear()
+    for r in (Fraction(-7, 3), Fraction(0), Fraction(1, 2), Fraction(5)):
+        direct = sum(c * r ** (a + 1) / (a + 1) for a, c in enumerate(chi))
+        assert index_integral(g, r) == direct
+    assert len(calls) == 1
+
+
 def test_hrr_chi_integer_valued_on_abelian_like():
     # flat tangent roots: chi(k) = k^2 c1L^2 top/2, an integer for even top
     g = Geometry(

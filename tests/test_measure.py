@@ -1,15 +1,19 @@
 """Limit spectral measure: lattice structure, Laplace identity, near-zero mass."""
 
+import itertools
 import math
 
+import mpmath
 import pytest
 
 from etaforge.errors import UsageError
 from etaforge.measure import (
+    _MAX_LATTICE_POINTS,
     ModelPoint,
+    _gamma_p,
     _lattice,
+    check_lattice_size,
     laplace_check,
-    limit_measure_apply,
     near_zero_bound,
 )
 
@@ -88,8 +92,89 @@ def test_near_zero_ratio_bounded():
 def test_apply_validates_arguments():
     pt = ModelPoint(1, ())
     with pytest.raises(UsageError):
-        limit_measure_apply(pt, lambda s: 1.0, 0.0)
+        laplace_check(pt, 1.0, 0.0)
     with pytest.raises(UsageError):
         near_zero_bound(pt, 2.0)
     with pytest.raises(UsageError):
         laplace_check(pt, -1.0, 10.0)
+
+
+def test_gamma_p_matches_mpmath():
+    xs = [10 ** (e / 4) for e in range(-24, 9)] + [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
+    with mpmath.workdps(30):
+        for n in range(5):
+            for x in xs:
+                exact = mpmath.gammainc(n + mpmath.mpf(1) / 2, 0, x, regularized=True)
+                assert abs(_gamma_p(n, x) - exact) <= 1e-13 * exact, (n, x)
+
+
+def _reference_apply(pt, phi, s_max, breaks=()):
+    """The limit measure applied to phi by mpmath quadrature of its definition,
+    weight·Σ 2^Z ∫_o^s_max φ(s)(s - o)^{n_y - 1/2} ds over a brute-force lattice,
+    with u = √(s - o) so that no integrand is singular; breaks are the points
+    where phi has a kink.  Call it inside mpmath.workdps."""
+    by_offset = {}
+    ranges = [range(int(s_max / (2 * lam)) + 2) for lam in pt.lambdas]
+    for ks in itertools.product(*ranges):
+        offset = 2 * sum(mpmath.mpf(k) * lam for k, lam in zip(ks, pt.lambdas))
+        if offset < s_max:
+            by_offset[offset] = by_offset.get(offset, 0) + 2 ** sum(k > 0 for k in ks)
+    total = mpmath.mpf(0)
+    for offset, mult in by_offset.items():
+        cuts = [0] + [mpmath.sqrt(b - offset) for b in breaks if offset < b < s_max]
+        integral = mpmath.quad(
+            lambda u: 2 * phi(offset + u * u) * u ** (2 * pt.n_y),
+            cuts + [mpmath.sqrt(s_max - offset)],
+        )
+        total += mult * integral
+    weight = mpmath.fprod(pt.lambdas) / (
+        (4 * mpmath.pi) ** (mpmath.mpf(pt.n) / 2) * mpmath.gamma(pt.n_y + mpmath.mpf(1) / 2)
+    )
+    return weight * total
+
+
+# the default points, points with n_y = 1 and 2, and two points with more than
+# one lattice offset below the largest near-zero support ε = 1/2: 0 and 0.3
+# for λ = 0.15, and 0, 0.2, 0.3 and 0.4 for λ = (0.1, 0.15)
+MPMATH_POINTS = CONFIGS + (
+    ModelPoint(5, (0.6,)),
+    ModelPoint(7, (1.5,)),
+    ModelPoint(3, (0.15,)),
+    ModelPoint(5, (0.1, 0.15)),
+)
+
+
+@pytest.mark.parametrize("pt", MPMATH_POINTS, ids=lambda pt: f"n{pt.n}-{pt.lambdas}")
+def test_laplace_matches_mpmath_quadrature(pt):
+    for t, s_max in ((0.5, 160.0), (1.0, 80.0), (2.0, 40.0), (1.0, 6.0)):
+        if min(pt.lambdas, default=1.0) < 0.5:
+            # a small lattice, and an s_max off it: a kernel (s - o)^{-1/2}
+            # starting one rounding error below s_max weighs about 1e-8
+            s_max = min(s_max, 2.95)
+        chk = laplace_check(pt, t, s_max)
+        with mpmath.workdps(30):
+            exact = _reference_apply(pt, lambda s: mpmath.exp(-t * s), s_max)
+        assert abs(chk.measured - exact) <= 1e-10 * exact, (t, s_max)
+
+
+@pytest.mark.parametrize("pt", MPMATH_POINTS, ids=lambda pt: f"n{pt.n}-{pt.lambdas}")
+def test_near_zero_matches_mpmath_quadrature(pt):
+    for eps in (0.5, 0.25, 0.0625, 0.015625):
+        def bump(s):
+            return 1 if s <= eps / 2 else 2 * (1 - s / eps)
+
+        value = near_zero_bound(pt, eps).value
+        with mpmath.workdps(30):
+            exact = _reference_apply(pt, bump, eps, breaks=(eps / 2,))
+        assert abs(value - exact) <= 1e-10 * exact, eps
+
+
+def test_huge_lattice_is_refused_before_enumeration():
+    pt = ModelPoint(3, (0.5,))  # one lattice point per unit of s_max
+    check_lattice_size(pt, _MAX_LATTICE_POINTS - 1.0)
+    with pytest.raises(UsageError):
+        check_lattice_size(pt, float(_MAX_LATTICE_POINTS))
+    with pytest.raises(UsageError):
+        laplace_check(ModelPoint(5, (0.001, 0.001)), 0.5, 160.0)
+    with pytest.raises(UsageError):
+        check_lattice_size(pt, math.inf)
