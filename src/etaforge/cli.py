@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 usage, 2 unresolvable data, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -194,8 +195,51 @@ def _write(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+# a container holding no value of these types is one C-encoder call
+_NESTED = frozenset((dict, list, tuple))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(depth: int):
+    """Indentation around the items of a container `depth` levels deep, and a
+    C-encoder call that renders a container of scalars at that depth (the item
+    separator carries the newline and indentation)."""
+    inner = "\n" + "  " * (depth + 1)
+    encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+    return inner, "\n" + "  " * depth, encoder.encode
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a value
+    built from scalars, plain lists and tuples, and plain dicts with string keys.
+
+    CPython's C encoder ignores `indent`, so json.dumps would render every
+    record in pure Python.  Here each dict or list whose values are all
+    scalars is one C-encoder call; every other level keeps the recursive
+    layout, and empty containers stay literal.
+    """
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner, outer, encode = _layout(depth)
+    if _NESTED.isdisjoint(map(type, obj.values() if is_dict else obj)):
+        body = encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(
+            json.dumps(key) + ": " + _json_text(value, depth + 1)
+            for key, value in sorted(obj.items())
+        )
+    else:
+        body = ("," + inner).join([_json_text(value, depth + 1) for value in obj])
+    return ("{" if is_dict else "[") + inner + body + outer + ("}" if is_dict else "]")
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    _write(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2) + "\n", args)
+    """Write the payload under the schema tag, as json.dumps(sort_keys=True,
+    indent=2) would, with a final newline."""
+    _write(_json_text({"schema": SCHEMA, **payload}) + "\n", args)
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
@@ -203,10 +247,9 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], args: argparse.Namespace)
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row[name] for name in fieldnames] for row in rows)
     _write(buf.getvalue(), args)
 
 
@@ -344,16 +387,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     records = type1_eigenvalues(g, hp, r, eps, k_range)
     if provider is not None:
         records += type2_records(provider, r, eps, g.m)
+    # record values are Fractions already, so str() renders them as _rat would
     rows = [
         {
             "tag": rec.tag,
             "k": rec.k,
             "p": rec.p,
             "multiplicity": rec.multiplicity,
-            "a": _rat(rec.value.a),
-            "b": _rat(rec.value.b),
-            "d": _rat(rec.value.d),
-            "mu_sq": None if rec.mu_sq is None else _rat(rec.mu_sq),
+            "a": str(rec.value.a),
+            "b": str(rec.value.b),
+            "d": str(rec.value.d),
+            "mu_sq": None if rec.mu_sq is None else str(rec.mu_sq),
         }
         for rec in records
     ]
@@ -511,12 +555,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     path = args.conventions or "conventions.json"
     Path(path).write_text(
-        json.dumps(
-            {"schema": SCHEMA, **_conv_record(result.conventions)},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
+        _json_text({"schema": SCHEMA, **_conv_record(result.conventions)}) + "\n",
         encoding="utf-8",
     )
     record["persisted_to"] = path

@@ -16,6 +16,18 @@ from fractions import Fraction
 from .errors import UsageError
 from .scalars import ParamScalar, TruncSeries, universal_series
 
+# largest base dimension m; the series order 2m + 4 grows with it, and at
+# m = 80 one asymptotic eta takes seconds, so a larger m is refused before
+# any series is built
+_MAX_BASE_DIMENSION = 32
+
+
+def _check_base_dimension(m: int) -> None:
+    if m < 1:
+        raise UsageError("base dimension m must be at least 1")
+    if m > _MAX_BASE_DIMENSION:
+        raise UsageError(f"base dimension m={m} is above the limit {_MAX_BASE_DIMENSION}")
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -29,8 +41,7 @@ class Geometry:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise UsageError("base dimension m must be at least 1")
+        _check_base_dimension(self.m)
         if len(self.tangent_roots) != self.m:
             raise UsageError("need exactly m tangent Chern roots")
         if 2 * self.c1K != -sum(self.tangent_roots):
@@ -69,6 +80,7 @@ def projective_like_geometry(m: int, degree: int = 1) -> Geometry:
     The spin square root then has c₁(K) = -(m/2)·u, which is an allowed
     rational class in this model.
     """
+    _check_base_dimension(m)  # before m roots are built
     return Geometry(
         m=m,
         top_integral=Fraction(1),

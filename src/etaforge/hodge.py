@@ -46,6 +46,14 @@ class SurfaceHodge(HodgeProvider):
             raise UsageError("surface provider requires degree >= 1")
         if any(v < 0 for v in self.exceptional_table.values()):
             raise UsageError("Hodge numbers must be nonnegative")
+        # Riemann-Roch: h^{0,k} - h^{0,-k} = kl wherever both sides are known
+        for p, k in self.exceptional_table:
+            lhs, rhs = self._known_h0(k), self._known_h0(-k)
+            if p == 0 and lhs is not None and rhs is not None and lhs - rhs != k * self.degree:
+                raise UsageError(
+                    f"h^(0,{k}) = {lhs} and h^(0,{-k}) = {rhs} break Riemann-Roch: "
+                    f"their difference must be {k * self.degree}"
+                )
 
     def _h0(self, k: int) -> int:
         kl = k * self.degree
@@ -61,6 +69,13 @@ class SurfaceHodge(HodgeProvider):
         raise UnknownHodgeData(
             f"h^(0,{k}) on genus {self.genus} depends on moduli; declare it"
         )
+
+    def _known_h0(self, k: int) -> int | None:
+        """h^{0,k} from vanishing or a declaration, None where it depends on moduli."""
+        try:
+            return self._h0(k)
+        except UnknownHodgeData:
+            return None
 
     def h(self, p: int, k: int) -> int:
         self._check_p(p)

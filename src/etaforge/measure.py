@@ -36,6 +36,15 @@ class ModelPoint:
             raise UsageError("lambdas must be positive and finite")
         if 2 * len(self.lambdas) >= self.n:
             raise UsageError("too many lambdas: need 2·m_y + 1 <= n")
+        # Γ(n_y + 1/2) and (4π)^{n/2} overflow a float for large n
+        try:
+            weight = self.weight()
+        except OverflowError:
+            weight = math.inf
+        if not 0 < weight < math.inf:
+            raise UsageError(
+                f"the weight of the point n={self.n} is not a positive finite float"
+            )
 
     @property
     def m_y(self) -> int:

@@ -5,6 +5,10 @@ numbers.  Type-2 eigenvalues come in pairs from a 2x2 block driven by a
 positive Dolbeault eigenvalue and are quadratic surds a + b·sqrt(d); their
 sign and comparison queries are exact.
 
+The enumerators build already-normalised QuadSurds directly, without
+`QuadSurd.make`: a rational value always has b = d = 0, and a type-2 pair
+tests its discriminant for an exact square root once.
+
 Convention trap spelled out once: providers store μ², which is twice the
 Dolbeault Laplacian eigenvalue (the Laplacian eigenvalue is μ²/2).
 """
@@ -14,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cohomology import Geometry
 from .errors import InvalidDolbeaultData, UsageError
 from .hodge import HodgeProvider
+
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 def _sqrt_exact(x: Fraction) -> Fraction | None:
@@ -75,10 +82,6 @@ class QuadSurd:
         if root is not None:
             return QuadSurd(a + b * root, Fraction(0), Fraction(0))
         return QuadSurd(a, b, d)
-
-    @staticmethod
-    def rational(x: Fraction | int) -> "QuadSurd":
-        return QuadSurd.make(x)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -147,8 +150,9 @@ class DolbeaultProvider:
     """Declared Dolbeault data: entries (k, p, μ², e_μ^{p,k}) and a positive
     lower bound M on the stored μ² values.
 
-    Lookups go through an index of the entries keyed by (k, p, μ²), built
-    once; when a key repeats, its first entry is the one returned.
+    Lookups go through an index of the entries keyed by (k, p) and μ² as
+    numerator and denominator (which skips hashing a Fraction), built once;
+    when a key repeats, its first entry is the one returned.
     """
 
     entries: tuple[tuple[int, int, Fraction, int], ...]
@@ -157,19 +161,20 @@ class DolbeaultProvider:
     def __post_init__(self) -> None:
         if self.lower_bound <= 0:
             raise UsageError("lower bound M must be positive")
-        index: dict[tuple[int, int, Fraction], int] = {}
+        index: dict[tuple[int, int, int, int], int] = {}
         for k, p, mu_sq, e in self.entries:
-            if mu_sq <= 0:
-                raise UsageError("Dolbeault eigenvalue data must be positive")
+            # M > 0, so one comparison catches a nonpositive μ² as well
+            if mu_sq < self.lower_bound:
+                if mu_sq <= 0:
+                    raise UsageError("Dolbeault eigenvalue data must be positive")
+                raise UsageError("declared lower bound exceeds a stored eigenvalue")
             if e < 0:
                 raise UsageError("multiplicities must be nonnegative")
-            if mu_sq < self.lower_bound:
-                raise UsageError("declared lower bound exceeds a stored eigenvalue")
-            index.setdefault((k, p, mu_sq), e)
+            index.setdefault((k, p, mu_sq.numerator, mu_sq.denominator), e)
         object.__setattr__(self, "_index", index)
 
     def e(self, k: int, p: int, mu_sq: Fraction) -> int:
-        return self._index.get((k, p, mu_sq), 0)
+        return self._index.get((k, p, mu_sq.numerator, mu_sq.denominator), 0)
 
 
 def type1_eigenvalues(
@@ -182,18 +187,50 @@ def type1_eigenvalues(
     """λ = (-1)^p (k + ε(p - m/2) - r) with multiplicity h^{p,k}."""
     if eps <= 0:
         raise UsageError("eps must be positive")
-    records = []
+    # per family p: λ = offset_p + sign_p·k with offset_p = (-1)^p (ε(p - m/2) - r)
     half_m = Fraction(g.m, 2)
+    families = [(p, (-1) ** p, (-1) ** p * (eps * (p - half_m) - r)) for p in range(g.m + 1)]
+    records = []
     for k in range(k_range[0], k_range[1] + 1):
-        for p in range(g.m + 1):
+        for p, sign, offset in families:
             mult = hp.h(p, k)
             if mult == 0:
                 continue
-            lam = (-1) ** p * (k + eps * (p - half_m) - r)
-            records.append(
-                EigRecord(QuadSurd.rational(lam), mult, "type1", k, p)
-            )
+            value = QuadSurd(offset + sign * k, _ZERO, _ZERO)
+            records.append(EigRecord(value, mult, "type1", k, p))
     return records
+
+
+def _type2_pairs(
+    r: Fraction, eps: Fraction, m: int
+) -> Callable[[int, int, Fraction], tuple[QuadSurd, QuadSurd]]:
+    """The type-2 pair at (k, p, μ²) as a function, for fixed r, ε and m.
+
+    The pair is t_p ± sqrt(δ)/2 with δ = (2k + c_p)² + 4εμ², where the trace
+    half t_p = (-1)^{p+1}ε/2 and c_p = ε(2p - m + 1) - 2r are computed once
+    per p; δ is tested for an exact square root once per pair.
+    """
+    if eps <= 0:
+        raise UsageError("mu_sq and eps must be positive")
+    four_eps = 4 * eps
+    families: dict[int, tuple[Fraction, Fraction]] = {}
+
+    def pair(k: int, p: int, mu_sq: Fraction) -> tuple[QuadSurd, QuadSurd]:
+        if p not in families:
+            families[p] = ((eps if p % 2 else -eps) * _HALF, eps * (2 * p - m + 1) - 2 * r)
+        trace_half, shift = families[p]
+        x = 2 * k + shift
+        delta = x * x + four_eps * mu_sq
+        root = _sqrt_exact(delta)
+        if root is None:
+            return QuadSurd(trace_half, _HALF, delta), QuadSurd(trace_half, -_HALF, delta)
+        half_root = root * _HALF
+        return (
+            QuadSurd(trace_half + half_root, _ZERO, _ZERO),
+            QuadSurd(trace_half - half_root, _ZERO, _ZERO),
+        )
+
+    return pair
 
 
 def type2_eigenvalues(
@@ -204,24 +241,21 @@ def type2_eigenvalues(
     The discriminant is (2k + ε(2p - m + 1) - 2r)² + 4μ²ε, which is what the
     block's trace/determinant force (the "+1" multiplies ε).
     """
-    if mu_sq <= 0 or eps <= 0:
+    if mu_sq <= 0:
         raise UsageError("mu_sq and eps must be positive")
-    trace_half = Fraction((-1) ** (p + 1)) * eps / 2
-    delta = (2 * k + eps * (2 * p - m + 1) - 2 * r) ** 2 + 4 * mu_sq * eps
-    plus = QuadSurd.make(trace_half, Fraction(1, 2), delta)
-    minus = QuadSurd.make(trace_half, Fraction(-1, 2), delta)
-    return plus, minus
+    return _type2_pairs(r, eps, m)(k, p, mu_sq)
 
 
 def type2_records(
     provider: DolbeaultProvider, r: Fraction, eps: Fraction, m: int
 ) -> list[EigRecord]:
+    pair = _type2_pairs(r, eps, m)
     records = []
     for k, p, mu_sq, _ in provider.entries:
         mult = alternating_multiplicity(provider, k, p, mu_sq)
         if mult == 0:
             continue
-        plus, minus = type2_eigenvalues(k, p, mu_sq, r, eps, m)
+        plus, minus = pair(k, p, mu_sq)
         records.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))
         records.append(EigRecord(minus, mult, "type2minus", k, p, mu_sq))
     return records

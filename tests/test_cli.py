@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etaforge.cli as cli
 import etaforge.eta as eta_mod
@@ -232,6 +234,34 @@ def test_zero_dimensional_geometry_is_refused(tmp_path, capsys):
     assert record["error"] == "UsageError" and "at least 1" in record["detail"]
 
 
+def test_base_dimension_above_the_cap_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "eta", "asymptotic", "--preset", "projective", "--m", "33",
+        "--r", "0", "--eps", "1/10",
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "m=33" in record["detail"]
+
+
+def test_surface_data_breaking_riemann_roch_is_refused(tmp_path, monkeypatch, capsys):
+    def no_maths(*args):
+        raise AssertionError("maths ran on Hodge data that breaks Riemann-Roch")
+
+    monkeypatch.setattr(cli, "exact_eta", no_maths)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "geometry": {"preset": "surface", "genus": 2, "degree": 1},
+        "hodge": {"exceptional": {"0,1": 0, "0,-1": 0}},
+    }))
+    code, out, err = _run(capsys, "eta", "exact", "--config", str(cfg), "--r", "0", "--eps", "1/10")
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "Riemann-Roch" in record["detail"]
+
+
 def test_spectrum_refuses_huge_k_range(capsys):
     start = time.perf_counter()
     code, out, err = _run(
@@ -333,6 +363,8 @@ def test_measure_check_defaults(capsys):
         {"points": [{"n": 5, "lambdas": [0.001, 0.001]}], "s_max": 80},
         # a benign point first: the huge lattice of the second is still refused up front
         {"points": [{"n": 3, "lambdas": [1.0]}, {"n": 5, "lambdas": [0.001, 0.001]}]},
+        # Γ(n_y + 1/2) overflows a float
+        {"points": [{"n": 601, "lambdas": []}]},
     ],
 )
 def test_hostile_measure_config_fails_before_any_maths(measure_cfg, tmp_path, monkeypatch, capsys):
@@ -371,3 +403,31 @@ def test_eta_adiabatic_does_not_need_eps(capsys):
     assert code == 0
     golden = Path(__file__).resolve().parent / "golden" / "eta_adiabatic.json"
     assert out == golden.read_text(encoding="utf-8")
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats() | st.text(max_size=6)
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_json_writer_literal_cases():
+    payload = {
+        "empty": {}, "none": [], "nested": [[], [{}], {"x": [1.5, -2, None, "é✓"]}],
+        "rows": [{"a": "1/2", "b": None, "k": -3, "ok": True}, {"z": float("inf")}],
+        "tuple": (1, (2.0,)), "\u00e9": "\n",
+    }
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    for value in ({}, [], 0, "s", None, [[]]):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)

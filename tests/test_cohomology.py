@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from etaforge.cohomology import (
+    _MAX_BASE_DIMENSION,
     Geometry,
     char_class,
     hrr_chi,
@@ -52,6 +53,19 @@ def test_base_dimension_must_be_positive():
         Geometry(m=0, top_integral=Fraction(1), c1L=Fraction(1), c1K=Fraction(0), tangent_roots=())
     with pytest.raises(UsageError, match="at least 1"):
         projective_like_geometry(-1)
+
+
+def test_base_dimension_is_capped():
+    # the series order 2m + 4 grows with m: m = 80 took seconds per eta value
+    cap = _MAX_BASE_DIMENSION
+    assert projective_like_geometry(cap).m == cap
+    with pytest.raises(UsageError, match="above the limit"):
+        projective_like_geometry(cap + 1)
+    with pytest.raises(UsageError, match="above the limit"):
+        Geometry(
+            m=cap + 1, top_integral=Fraction(1), c1L=Fraction(1), c1K=Fraction(-(cap + 1), 2),
+            tangent_roots=(Fraction(1),) * (cap + 1),
+        )
 
 
 def test_surface_preset():

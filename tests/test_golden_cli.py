@@ -2,7 +2,7 @@
 match the bytes stored in ``tests/golden/`` exactly.
 
 Each fixture ``tests/golden/<name>`` holds the stdout of ``COMMANDS[name]``,
-run from a directory that contains ``cfg.json`` (``CONFIG`` below).  Any
+run from a directory that contains the config files of ``CONFIGS`` below.  Any
 refactor or deletion must leave these bytes unchanged; a change of output is
 a change of the fixtures, made on purpose and recorded as such.
 """
@@ -20,11 +20,18 @@ GOLDEN = ROOT / "tests" / "golden"
 
 SURFACE_01 = ["--preset", "surface", "--genus", "0", "--degree", "1"]
 
-CONFIG = {
-    "geometry": {"preset": "surface", "genus": 0, "degree": 1},
-    "dolbeault": {
-        "lower_bound": "1/2",
-        "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 3], [1, 1, "3", 2]],
+CONFIGS = {
+    "cfg.json": {
+        "geometry": {"preset": "surface", "genus": 0, "degree": 1},
+        "dolbeault": {
+            "lower_bound": "1/2",
+            "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 3], [1, 1, "3", 2]],
+        },
+    },
+    # at r = 0, eps = 1/10 the type-2 discriminant is 1, so the pair is rational
+    "square.json": {
+        "geometry": {"preset": "surface", "genus": 0, "degree": 1},
+        "dolbeault": {"lower_bound": "5/2", "entries": [[0, 0, "5/2", 1], [0, 1, "5/2", 1]]},
     },
 }
 
@@ -61,6 +68,13 @@ COMMANDS = {
         "spectrum", "--config", "cfg.json", "--r", "1/3", "--eps", "1/10",
         "--k-min", "-3", "--k-max", "3",
     ],
+    "spectrum_empty.json": [
+        "spectrum", *SURFACE_01, "--r", "0", "--eps", "1/10", "--k-min", "0", "--k-max", "0",
+    ],
+    "spectrum_square.json": [
+        "spectrum", "--config", "square.json", "--r", "0", "--eps", "1/10",
+        "--k-min", "-1", "--k-max", "1",
+    ],
     "spectrum.csv": [
         "spectrum", *SURFACE_01, "--r", "1/3", "--eps", "1/10",
         "--k-min", "-5", "--k-max", "5", "--format", "csv",
@@ -71,7 +85,8 @@ COMMANDS = {
 
 
 def run_cli(argv, cwd: Path) -> subprocess.CompletedProcess:
-    (cwd / "cfg.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    for name, config in CONFIGS.items():
+        (cwd / name).write_text(json.dumps(config), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, "-m", "etaforge.cli", *argv],

@@ -31,6 +31,18 @@ def test_surface_exceptional_range_requires_declaration():
     assert declared.h(1, -1) == 1
 
 
+def test_surface_data_must_satisfy_riemann_roch():
+    # h^{0,k} - h^{0,-k} = kl: on genus 2, degree 1, h^{0,1} - h^{0,-1} must be 1
+    with pytest.raises(UsageError, match="Riemann-Roch"):
+        SurfaceHodge(genus=2, degree=1, exceptional_table={(0, 1): 0, (0, -1): 0})
+    with pytest.raises(UsageError, match="Riemann-Roch"):
+        SurfaceHodge(genus=3, degree=1, h00=1, exceptional_table={(0, -2): 1, (0, 2): 1})
+    consistent = SurfaceHodge(genus=2, degree=1, exceptional_table={(0, 1): 1, (0, -1): 0})
+    assert consistent.h(0, 1) - consistent.h(1, 1) == 1
+    # one side declared only: nothing to compare
+    SurfaceHodge(genus=2, degree=1, exceptional_table={(0, 1): 2})
+
+
 def test_genus_zero_needs_no_declarations():
     hp = SurfaceHodge(genus=0, degree=1)
     assert hp.h(0, 0) == 0

@@ -35,6 +35,12 @@ def test_model_point_validation():
     assert pt.m_y == 2 and pt.n_y == 0
 
 
+@pytest.mark.parametrize("n, lambdas", [(601, ()), (345, ()), (301, (1.0,)), (5, (1e200, 1e200))])
+def test_point_whose_weight_overflows_is_refused(n, lambdas):
+    with pytest.raises(UsageError, match="positive finite"):
+        ModelPoint(n, lambdas)
+
+
 def test_weight_normalization():
     pt = ModelPoint(3, (2.0,))
     expected = 2.0 / ((4 * math.pi) ** 1.5 * math.gamma(0.5))

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaforge.cohomology import surface_geometry
+from etaforge.cohomology import projective_like_geometry, surface_geometry
 from etaforge.errors import InvalidDolbeaultData, UsageError
-from etaforge.hodge import SurfaceHodge
+from etaforge.hodge import SurfaceHodge, TableHodge
 from etaforge.spectrum import (
     DolbeaultProvider,
+    EigRecord,
     QuadSurd,
     alternating_multiplicity,
     finite_eta_partial,
@@ -215,3 +216,83 @@ def test_finite_eta_partial_skips_zeros_and_signs():
     assert abs(value - brute) < 1e-12
     with pytest.raises(UsageError):
         finite_eta_partial(recs, -1.0, 10)
+
+
+def _exact_fields(rec: EigRecord) -> bool:
+    """The CLI prints a, b, d and μ² with str(), so they must be Fractions."""
+    fields = (rec.value.a, rec.value.b, rec.value.d) + (() if rec.mu_sq is None else (rec.mu_sq,))
+    return all(type(x) is Fraction for x in fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 100), max_value=2, max_denominator=100),
+    st.integers(-20, 20),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+def test_type1_matches_a_reference_built_through_make(m, r, eps, k_min, width, rng):
+    g = surface_geometry(0, 1) if m == 1 else projective_like_geometry(m)
+    table = {(p, k): rng.choice((0, 0, 1, 3)) for p in range(m + 1) for k in range(k_min, k_min + width + 1)}
+    hp = TableHodge(m, table)
+    reference = [
+        EigRecord(QuadSurd.make((-1) ** p * (k + eps * (p - Fraction(m, 2)) - r)), table[(p, k)], "type1", k, p)
+        for k in range(k_min, k_min + width + 1)
+        for p in range(m + 1)
+        if table[(p, k)]
+    ]
+    records = type1_eigenvalues(g, hp, r, eps, (k_min, k_min + width))
+    assert records == reference
+    assert all(_exact_fields(rec) for rec in records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 100), max_value=2, max_denominator=100),
+    st.lists(
+        st.tuples(
+            st.integers(-6, 6),
+            st.integers(0, 2),
+            # squares among the μ² values make some discriminants perfect squares
+            st.sampled_from([Fraction(1, 4), Fraction(5, 2), Fraction(9, 4), Fraction(3), Fraction(49, 10)])
+            | st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=13),
+            st.integers(0, 3),
+        ),
+        max_size=25,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_type2_records_match_a_reference_built_through_make(m, r, eps, entries, rng):
+    # e^p >= e^{p-1} on each (k, μ²) keeps every alternating sum legal
+    legal = {}
+    for k, p, mu_sq, e in sorted(entries, key=lambda entry: entry[1]):
+        legal[(k, p, mu_sq)] = e + sum(v for (k2, _, mu2), v in legal.items() if (k2, mu2) == (k, mu_sq))
+    shuffled = [(k, p, mu_sq, e) for (k, p, mu_sq), e in legal.items()]
+    rng.shuffle(shuffled)
+    provider = DolbeaultProvider(tuple(shuffled), Fraction(1, 4))
+    reference = []
+    for k, p, mu_sq, _ in provider.entries:
+        mult = alternating_multiplicity(provider, k, p, mu_sq)
+        if mult == 0:
+            continue
+        trace_half = Fraction((-1) ** (p + 1)) * eps / 2
+        delta = (2 * k + eps * (2 * p - m + 1) - 2 * r) ** 2 + 4 * mu_sq * eps
+        plus = QuadSurd.make(trace_half, Fraction(1, 2), delta)
+        minus = QuadSurd.make(trace_half, Fraction(-1, 2), delta)
+        assert (plus, minus) == type2_eigenvalues(k, p, mu_sq, r, eps, m)
+        reference.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))
+        reference.append(EigRecord(minus, mult, "type2minus", k, p, mu_sq))
+    records = type2_records(provider, r, eps, m)
+    assert records == reference
+    assert all(_exact_fields(rec) for rec in records)
+
+
+def test_type2_pair_with_square_discriminant_is_rational():
+    # δ = (2k + ε(2p - m + 1) - 2r)² + 4μ²ε = 0 + 4·(5/2)·(1/10) = 1
+    plus, minus = type2_eigenvalues(0, 0, Fraction(5, 2), Fraction(0), Fraction(1, 10), 1)
+    assert plus == QuadSurd(Fraction(9, 20), Fraction(0), Fraction(0))
+    assert minus == QuadSurd(Fraction(-11, 20), Fraction(0), Fraction(0))
