@@ -386,7 +386,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
     records = type1_eigenvalues(g, hp, r, eps, k_range)
     if provider is not None:
-        records += type2_records(provider, r, eps, g.m)
+        records += [
+            rec for rec in type2_records(provider, r, eps, g.m)
+            if k_range[0] <= rec.k <= k_range[1]
+        ]
     # record values are Fractions already, so str() renders them as _rat would
     rows = [
         {
@@ -520,7 +523,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
     checks = []
     all_ok = True
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         report = identity_suite(KahlerModel(m))
         for name, ok in report.checks:
             checks.append({"suite": f"tensor_m{m}", "check": name, "passed": ok})

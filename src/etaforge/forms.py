@@ -1,10 +1,12 @@
 """Endomorphism-valued alternating forms on a model Kähler tangent space.
 
-Exact engine for small dimensions: forms are stored on sorted basis tuples,
-wedge products expand over shuffles with matrix composition that skips zero
-entries (almost all entries of these tensors are zero), and all identities
-are checked by exhaustive basis-tuple evaluation.  Scalars are rationals
-except in the complexified traces, where Gaussian rationals appear.
+Exact engine for small dimensions: forms store their nonzero values on
+sorted basis tuples, a wedge product runs over the pairs of stored values
+with disjoint indices and composes matrices by skipping zero entries (almost
+all entries of these tensors are zero), and all identities are checked by
+exhaustive basis-tuple evaluation.  Scalars are integers where the tensors
+are, rationals once κ or δ enters, and Gaussian rationals in the
+complexified traces.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class GaussRat:
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
 
 GaussLike = Union[int, Fraction, GaussRat]
 I = GaussRat(Fraction(0), Fraction(1))
@@ -79,13 +84,11 @@ Matrix = tuple[tuple, ...]  # rows of ring elements; column j = image of basis j
 
 
 def mat_zero(size: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
+    return ((0,) * size,) * size
 
 
 def mat_identity(size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size)
-    )
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -98,15 +101,15 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 def _sparse_rows(b: Matrix) -> list[list[tuple[int, object]]]:
     """The (column, entry) pairs of each row of b whose entry is nonzero."""
-    return [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+    return [[(j, y) for j, y in enumerate(row) if y] for row in b]
 
 
-def _mul_into(acc: list[list], a: Matrix, b_rows, sign: int = 1) -> None:
+def _mul_into(acc: list[list], a_rows, b_rows, sign: int = 1) -> None:
     """acc += sign·(a @ b), visiting only the nonzero entries of a against
-    b's nonzero rows (b given as _sparse_rows(b))."""
-    for acc_row, row in zip(acc, a):
-        for k, x in enumerate(row):
-            if x == 0 or not b_rows[k]:
+    b's nonzero rows (a and b given as _sparse_rows)."""
+    for acc_row, row in zip(acc, a_rows):
+        for k, x in row:
+            if not b_rows[k]:
                 continue
             if sign < 0:
                 x = -x
@@ -116,30 +119,17 @@ def _mul_into(acc: list[list], a: Matrix, b_rows, sign: int = 1) -> None:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     size = len(a)
-    acc = [[Fraction(0)] * size for _ in range(size)]
-    _mul_into(acc, a, _sparse_rows(b))
+    acc = [[0] * size for _ in range(size)]
+    _mul_into(acc, _sparse_rows(a), _sparse_rows(b))
     return tuple(tuple(row) for row in acc)
 
 
 def mat_trace(a: Matrix):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def _is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def _shuffles(combined: tuple[int, ...], left_size: int):
-    """Yield (sign, left, right) over all splits of a sorted tuple."""
-    idx = range(len(combined))
-    for left_pos in itertools.combinations(idx, left_size):
-        right_pos = tuple(i for i in idx if i not in left_pos)
-        sign = 1
-        for a in left_pos:
-            sign *= (-1) ** sum(1 for b in right_pos if b < a)
-        yield sign, tuple(combined[i] for i in left_pos), tuple(
-            combined[i] for i in right_pos
-        )
+    return not any(any(row) for row in a)
 
 
 def _sort_args(args: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -148,9 +138,9 @@ def _sort_args(args: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
         return None
     sign = 1
     # count inversions
-    for i in range(len(args)):
-        for j in range(i + 1, len(args)):
-            if args[i] > args[j]:
+    for i, a in enumerate(args):
+        for b in args[i + 1:]:
+            if a > b:
                 sign = -sign
     return sign, tuple(sorted(args))
 
@@ -163,45 +153,40 @@ class ScalarForm:
     def __init__(self, degree: int, dim: int, values: Mapping[tuple[int, ...], object]):
         self.degree = degree
         self.dim = dim
-        self.values = {k: v for k, v in values.items() if v != 0}
+        self.values = {k: v for k, v in values.items() if v}
 
     def __call__(self, *args: int):
         sorted_ = _sort_args(args)
         if sorted_ is None:
-            return Fraction(0)
+            return 0
         sign, key = sorted_
-        return sign * self.values.get(key, Fraction(0))
+        return sign * self.values.get(key, 0)
 
     def __add__(self, other: "ScalarForm") -> "ScalarForm":
         out = dict(self.values)
         for k, v in other.values.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return ScalarForm(self.degree, self.dim, out)
 
     def scale(self, s) -> "ScalarForm":
         return ScalarForm(self.degree, self.dim, {k: v * s for k, v in self.values.items()})
 
     def __neg__(self) -> "ScalarForm":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def wedge(self, other: "ScalarForm") -> "ScalarForm":
-        degree = self.degree + other.degree
+        """Sum over the pairs of stored values whose indices are disjoint."""
         out: dict[tuple[int, ...], object] = {}
-        if degree > self.dim:
-            return ScalarForm(degree, self.dim, out)
-        for combo in itertools.combinations(range(self.dim), degree):
-            acc = Fraction(0)
-            for sign, left, right in _shuffles(combo, self.degree):
-                a = self.values.get(left)
-                b = other.values.get(right)
-                if a is not None and b is not None:
-                    acc = acc + a * b * sign
-            if acc != 0:
-                out[combo] = acc
-        return ScalarForm(degree, self.dim, out)
+        for left, a in self.values.items():
+            for right, b in other.values.items():
+                sorted_ = _sort_args(left + right)
+                if sorted_ is not None:
+                    sign, key = sorted_
+                    out[key] = out.get(key, 0) + sign * a * b
+        return ScalarForm(self.degree + other.degree, self.dim, out)
 
     def power(self, n: int) -> "ScalarForm":
-        out = ScalarForm(0, self.dim, {(): Fraction(1)})
+        out = ScalarForm(0, self.dim, {(): 1})
         for _ in range(n):
             out = out.wedge(self)
         return out
@@ -247,7 +232,7 @@ class EndForm:
         value = self.values.get(key)
         if value is None:
             return mat_zero(self.size)
-        return value if sign == 1 else mat_scale(value, Fraction(-1))
+        return value if sign == 1 else mat_scale(value, -1)
 
     def __add__(self, other: "EndForm") -> "EndForm":
         if (self.degree, self.dim, self.size) != (other.degree, other.dim, other.size):
@@ -276,22 +261,25 @@ class EndForm:
         )
 
     def wedge(self, other: "EndForm") -> "EndForm":
+        """Sum over the pairs of stored values whose indices are disjoint,
+        one accumulator matrix per sorted key."""
         if self.dim != other.dim or self.size != other.size:
             raise UsageError("incompatible forms")
-        degree = self.degree + other.degree
-        out: dict[tuple[int, ...], Matrix] = {}
-        if degree > self.dim:
-            return EndForm(degree, self.dim, self.size, out)
-        other_rows = {key: _sparse_rows(b) for key, b in other.values.items()}
-        for combo in itertools.combinations(range(self.dim), degree):
-            acc = [[Fraction(0)] * self.size for _ in range(self.size)]
-            for sign, left, right in _shuffles(combo, self.degree):
-                a = self.values.get(left)
-                b_rows = other_rows.get(right)
-                if a is not None and b_rows is not None:
-                    _mul_into(acc, a, b_rows, sign)
-            out[combo] = tuple(tuple(row) for row in acc)
-        return EndForm(degree, self.dim, self.size, out)
+        size = self.size
+        other_rows = [(key, _sparse_rows(b)) for key, b in other.values.items()]
+        acc: dict[tuple[int, ...], list[list]] = {}
+        for left, a in self.values.items():
+            a_rows = _sparse_rows(a)
+            for right, b_rows in other_rows:
+                sorted_ = _sort_args(left + right)
+                if sorted_ is None:
+                    continue
+                sign, key = sorted_
+                if key not in acc:
+                    acc[key] = [[0] * size for _ in range(size)]
+                _mul_into(acc[key], a_rows, b_rows, sign)
+        out = {key: tuple(map(tuple, rows)) for key, rows in acc.items()}
+        return EndForm(self.degree + other.degree, self.dim, size, out)
 
     def power(self, n: int) -> "EndForm":
         out = EndForm(0, self.dim, self.size, {(): mat_identity(self.size)})
@@ -341,17 +329,14 @@ class KahlerModel:
 
     def j_matrix(self) -> Matrix:
         n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(self.m):
-            rows[2 * i + 1][2 * i] = Fraction(1)   # J e_i = f_i
-            rows[2 * i][2 * i + 1] = Fraction(-1)  # J f_i = -e_i
+            rows[2 * i + 1][2 * i] = 1   # J e_i = f_i
+            rows[2 * i][2 * i + 1] = -1  # J f_i = -e_i
         return tuple(tuple(r) for r in rows)
 
     def omega(self) -> ScalarForm:
-        values = {
-            (2 * i, 2 * i + 1): Fraction(1) for i in range(self.m)
-        }
-        return ScalarForm(2, self.dim, values)
+        return ScalarForm(2, self.dim, {(2 * i, 2 * i + 1): 1 for i in range(self.m)})
 
 
 def _big_omega(model: KahlerModel, jm: Matrix) -> EndForm:
@@ -360,7 +345,7 @@ def _big_omega(model: KahlerModel, jm: Matrix) -> EndForm:
     n = model.dim
     values: dict[tuple[int, ...], Matrix] = {}
     for i, j in itertools.combinations(range(2 * model.m), 2):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for col in range(2 * model.m):
             for row in range(n):
                 rows[row][col] = jm[col][i] * jm[row][j] - jm[col][j] * jm[row][i]
@@ -381,13 +366,13 @@ def build_tensors(model: KahlerModel) -> dict:
     # alpha1(b_i): e -> J b_i; alpha2(b_i): x -> g(b_i, x) e; alpha3(b_i): e -> -b_i
     a1_vals, a2_vals, a3_vals = {}, {}, {}
     for i in range(2 * model.m):
-        rows1 = [[Fraction(0)] * n for _ in range(n)]
-        rows2 = [[Fraction(0)] * n for _ in range(n)]
-        rows3 = [[Fraction(0)] * n for _ in range(n)]
+        rows1 = [[0] * n for _ in range(n)]
+        rows2 = [[0] * n for _ in range(n)]
+        rows3 = [[0] * n for _ in range(n)]
         for row in range(n):
             rows1[row][v] = jm[row][i]
-        rows2[v][i] = Fraction(1)
-        rows3[i][v] = Fraction(-1)
+        rows2[v][i] = 1
+        rows3[i][v] = -1
         for vals, rows in ((a1_vals, rows1), (a2_vals, rows2), (a3_vals, rows3)):
             if any(any(r) for r in rows):
                 vals[(i,)] = tuple(tuple(r) for r in rows)
@@ -411,22 +396,20 @@ def constant_curvature_block(model: KahlerModel, kappa: Fraction) -> EndForm:
     with J (both verified in tests, not assumed)."""
     n = model.dim
     jm = model.j_matrix()
-    kappa = Fraction(kappa)
+    quarter_kappa = Fraction(kappa) / 4
     values: dict[tuple[int, ...], Matrix] = {}
-
-    def g(i: int, j: int) -> Fraction:
-        return Fraction(1 if i == j else 0)
-
     for i, j in itertools.combinations(range(2 * model.m), 2):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for z in range(2 * model.m):
             # (κ/4)[g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY - 2 g(JX,Y)JZ]
             for row in range(n):
-                val = Fraction(0)
-                val += g(j, z) * g(row, i) - g(i, z) * g(row, j)
-                val += jm[z][j] * jm[row][i] - jm[z][i] * jm[row][j]
-                val -= 2 * jm[j][i] * jm[row][z]
-                rows[row][z] = kappa / 4 * val
+                val = (
+                    (j == z) * (row == i) - (i == z) * (row == j)
+                    + jm[z][j] * jm[row][i] - jm[z][i] * jm[row][j]
+                    - 2 * jm[j][i] * jm[row][z]
+                )
+                if val:
+                    rows[row][z] = quarter_kappa * val
         if any(any(r) for r in rows):
             values[(i, j)] = tuple(tuple(r) for r in rows)
     return EndForm(2, n, n, values)
@@ -457,13 +440,13 @@ def identity_suite(model: KahlerModel, kappa: Fraction = Fraction(1)) -> Identit
         ("R_wedge_alpha1", curv.wedge(t["alpha1"]).is_zero()),
         (
             "alpha1_wedge_alpha2",
-            t["alpha1"].wedge(t["alpha2"]) == big_omega.right_mul(jm).scale(Fraction(-1)),
+            t["alpha1"].wedge(t["alpha2"]) == big_omega.right_mul(jm).scale(-1),
         ),
     ]
     omega_j = big_omega.right_mul(jm)
     for k in range(1, model.m + 1):
         lhs = omega_j.power(k).trace()
-        rhs = omega.power(k).scale(Fraction(-(2**k)))
+        rhs = omega.power(k).scale(-(2**k))
         checks.append((f"trace_omega_j_power_{k}", lhs == rhs))
     return IdentityReport(tuple(checks))
 

@@ -132,13 +132,19 @@ def laplace_check(pt: ModelPoint, t: float, s_max: float) -> LaplaceCheck:
     included = 0.0
     for offset, z in _lattice(pt, s_max):
         included += 2**z * math.exp(-t * offset) * _gamma_p(pt.n_y, t * (s_max - offset))
-    scale = pt.weight() * math.gamma(pt.n_y + 0.5) * t ** -(pt.n_y + 0.5)
+    # t^{-a} and (4πt)^{-n/2} leave the float range for a small t at a large n
+    try:
+        scale = pt.weight() * math.gamma(pt.n_y + 0.5) * t ** -(pt.n_y + 0.5)
+        target = (4 * math.pi * t) ** (-pt.n / 2)
+    except OverflowError:
+        scale = target = math.inf
     measured = scale * included
-    target = (4 * math.pi * t) ** (-pt.n / 2)
     for lam in pt.lambdas:
         target *= t * lam / math.tanh(t * lam)
     full_sum = math.prod(1.0 / math.tanh(t * lam) for lam in pt.lambdas)
     tail = scale * (full_sum - included)
+    if not (0 < scale < math.inf and 0 < target < math.inf and math.isfinite(tail)):
+        raise UsageError(f"the Laplace check of the point n={pt.n} at t={t} leaves the float range")
     rel = abs(measured - target) / abs(target)
     return LaplaceCheck(measured, target, rel, tail)
 

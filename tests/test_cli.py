@@ -107,6 +107,23 @@ def test_spectrum_with_valid_dolbeault_data(tmp_path, capsys):
     assert "type2plus" in tags and "type2minus" in tags
 
 
+def test_spectrum_lists_type2_pairs_only_inside_the_k_range(tmp_path, capsys):
+    # the config of the spectrum_square.json golden fixture: one pair, at k = 0
+    config = tmp_path / "square.json"
+    config.write_text(json.dumps({
+        "geometry": {"preset": "surface", "genus": 0, "degree": 1},
+        "dolbeault": {"lower_bound": "5/2", "entries": [[0, 0, "5/2", 1], [0, 1, "5/2", 1]]},
+    }))
+    base = ("spectrum", "--config", str(config), "--r", "0", "--eps", "1/10")
+    code, out, _ = _run(capsys, *base, "--k-min", "5", "--k-max", "5", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["type1,5,0,5,99/20,0,0,"]
+    code, out, _ = _run(capsys, *base, "--k-min", "0", "--k-max", "0")
+    assert code == 0
+    tags = sorted(row["tag"] for row in json.loads(out)["records"])
+    assert tags == ["type2minus", "type2plus"]
+
+
 def test_invalid_dolbeault_truly_negative(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -382,6 +399,24 @@ def test_hostile_measure_config_fails_before_any_maths(measure_cfg, tmp_path, mo
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "measure_cfg",
+    [
+        # t^{-(n_y + 1/2)} and (4πt)^{-n/2} overflow; the point's weight is finite
+        {"points": [{"n": 227, "lambdas": []}], "t": [0.0001]},
+        # (4πt)^{-n/2} underflows to 0, so no relative error exists
+        {"points": [{"n": 201, "lambdas": []}], "t": [1000000.0]},
+    ],
+)
+def test_laplace_check_out_of_float_range_is_a_usage_error(measure_cfg, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": measure_cfg}))
+    code, out, err = _run(capsys, "measure", "check", "--config", str(cfg))
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "float range" in record["detail"]
 
 
 def test_spectrum_refuses_swapped_k_range(capsys):

@@ -1,6 +1,7 @@
 """Exterior-algebra engine: wedge normalization, curvature identities."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -42,26 +43,41 @@ def _random_scalar_form(rng, degree, dim):
     return ScalarForm(degree, dim, values)
 
 
-def test_wedge_matches_full_antisymmetrization():
-    """(F∧G)(v) = (1/(p! q!)) Σ_σ sgn(σ) F(...)G(...) over all permutations."""
-    rng = random.Random(7)
-    import math
+def _antisymmetrized(f, g, args):
+    """(F∧G)(v) = (1/(p! q!)) Σ_σ sgn(σ) F(v_σ(1..p)) · G(v_σ(p+1..p+q)), over
+    every permutation; matrix values compose with the dense product."""
+    p = f.degree
+    total = None
+    for perm in itertools.permutations(args):
+        left, right = f(*perm[:p]), g(*perm[p:])
+        term = _dense_mul(left, right) if isinstance(f, EndForm) else left * right
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        if inversions % 2:
+            term = _negate(term)
+        total = term if total is None else _plus(total, term)
+    return _times(total, Fraction(1, math.factorial(p) * math.factorial(g.degree)))
 
+
+def _negate(x):
+    return tuple(_negate(y) for y in x) if isinstance(x, tuple) else -x
+
+
+def _plus(x, y):
+    return tuple(_plus(a, b) for a, b in zip(x, y)) if isinstance(x, tuple) else x + y
+
+
+def _times(x, s):
+    return tuple(_times(y, s) for y in x) if isinstance(x, tuple) else x * s
+
+
+def test_wedge_matches_full_antisymmetrization():
+    rng = random.Random(7)
     for p, q, dim in ((1, 1, 3), (1, 2, 4), (2, 2, 4)):
         f = _random_scalar_form(rng, p, dim)
         g = _random_scalar_form(rng, q, dim)
         w = f.wedge(g)
         for args in itertools.combinations(range(dim), p + q):
-            total = Fraction(0)
-            for perm in itertools.permutations(args):
-                sign = 1
-                for i in range(len(perm)):
-                    for j in range(i + 1, len(perm)):
-                        if perm[i] > perm[j]:
-                            sign = -sign
-                total += sign * f(*perm[:p]) * g(*perm[p:])
-            total /= math.factorial(p) * math.factorial(q)
-            assert w(*args) == total
+            assert w(*args) == _antisymmetrized(f, g, args)
 
 
 def test_scalar_wedge_graded_commutative_and_associative():
@@ -128,29 +144,6 @@ def test_mat_mul_matches_dense_reference(ring):
             assert mat_mul(a, b) == _dense_mul(a, b)
 
 
-def _reference_wedge(f, g):
-    """(f∧g)(combo) = Σ over splits of combo of sign · f(left) @ g(right),
-    with dense products and the split sign counted from inversions."""
-    size = f.size
-    out = {}
-    for combo in itertools.combinations(range(f.dim), f.degree + g.degree):
-        acc = [[Fraction(0)] * size for _ in range(size)]
-        for left_pos in itertools.combinations(range(len(combo)), f.degree):
-            right_pos = [i for i in range(len(combo)) if i not in left_pos]
-            order = list(left_pos) + right_pos
-            inversions = sum(
-                1 for i, j in itertools.combinations(range(len(order)), 2) if order[i] > order[j]
-            )
-            left = tuple(combo[i] for i in left_pos)
-            right = tuple(combo[i] for i in right_pos)
-            prod = _dense_mul(f(*left), g(*right))
-            for i in range(size):
-                for j in range(size):
-                    acc[i][j] += (-1) ** inversions * prod[i][j]
-        out[combo] = tuple(tuple(row) for row in acc)
-    return EndForm(f.degree + g.degree, f.dim, size, out)
-
-
 def test_endform_wedge_matches_dense_reference():
     model = KahlerModel(2)
     t = build_tensors(model)
@@ -166,11 +159,9 @@ def test_endform_wedge_matches_dense_reference():
         (t["alpha1"], curv),
     ]
     for f, g in pairs:
-        assert f.wedge(g) == _reference_wedge(f, g)
-
-
-def _apply(mat, column_index, dim):
-    return [mat[row][column_index] for row in range(dim)]
+        w = f.wedge(g)
+        for args in itertools.combinations(range(f.dim), f.degree + g.degree):
+            assert w(*args) == _antisymmetrized(f, g, args), args
 
 
 def test_curvature_first_bianchi_identity():
@@ -208,7 +199,7 @@ def test_curvature_antisymmetric_in_metric():
 
 
 def test_identity_suite_all_pass():
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         for kappa in (Fraction(1), Fraction(-3, 5)):
             report = identity_suite(KahlerModel(m), kappa)
             assert report.passed, (m, kappa, report.checks)
@@ -252,3 +243,150 @@ def test_omega_j_trace_powers_full_dimension():
     lhs = omega_j.power(3).trace()
     rhs = t["omega"].power(3).scale(Fraction(-8))
     assert lhs == rhs
+
+
+def _random_end_form(rng, degree, dim, size, entry):
+    values = {}
+    for combo in itertools.combinations(range(dim), degree):
+        if rng.random() < 0.7:
+            values[combo] = _random_sparse_matrix(rng, size, entry)
+    return EndForm(degree, dim, size, values)
+
+
+@pytest.mark.parametrize("ring", ["fraction", "gauss"])
+def test_endform_wedge_matches_full_antisymmetrization(ring):
+    rng = random.Random(23)
+
+    def fraction():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def gauss():
+        return GaussRat(fraction(), fraction())
+
+    entry = fraction if ring == "fraction" else gauss
+    for p, q, dim, size in ((1, 1, 3, 2), (1, 2, 4, 3), (2, 1, 4, 2), (2, 2, 5, 2)):
+        f = _random_end_form(rng, p, dim, size, entry)
+        g = _random_end_form(rng, q, dim, size, entry)
+        w = f.wedge(g)
+        assert (w.degree, w.dim, w.size) == (p + q, dim, size)
+        for args in itertools.combinations(range(dim), p + q):
+            assert w(*args) == _antisymmetrized(f, g, args), (p, q, args)
+
+
+def test_scalar_wedge_with_gauss_values_matches_full_antisymmetrization():
+    rng = random.Random(29)
+
+    def gauss_form(degree, dim):
+        values = {}
+        for combo in itertools.combinations(range(dim), degree):
+            if rng.random() < 0.7:
+                values[combo] = GaussRat(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4))
+                )
+        return ScalarForm(degree, dim, values)
+
+    for p, q, dim in ((1, 1, 3), (1, 2, 4), (2, 2, 5)):
+        f, g = gauss_form(p, dim), gauss_form(q, dim)
+        w = f.wedge(g)
+        for args in itertools.combinations(range(dim), p + q):
+            assert w(*args) == _antisymmetrized(f, g, args), (p, q, args)
+
+
+def test_wedge_above_the_dimension_is_zero():
+    model = KahlerModel(1)  # dim 3
+    t = build_tensors(model)
+    big = t["Omega"].wedge(t["alpha1"])  # degree 3 = dim
+    top = big.wedge(t["alpha2"])
+    assert (top.degree, top.dim) == (4, 3) and top.is_zero()
+    omega = t["omega"]
+    assert omega.wedge(omega).wedge(omega).is_zero()
+    assert omega.power(3) == ScalarForm(6, 3, {})
+
+
+def test_wedge_whose_terms_cancel_is_zero():
+    # a 1-form with commuting values: (a∧a)(x, y) = a(x)a(y) - a(y)a(x) = 0
+    ident = ((1, 0), (0, 1))
+    diag = ((Fraction(2, 3), 0), (0, Fraction(-5)))
+    a = EndForm(1, 3, 2, {(0,): ident, (1,): diag, (2,): ident})
+    square = a.wedge(a)
+    assert square.is_zero() and square.values == {}
+    f = ScalarForm(1, 4, {(0,): Fraction(1, 2), (2,): GaussRat(Fraction(1), Fraction(-2))})
+    assert f.wedge(f).is_zero()
+
+
+def _reference_tensors(m, kappa):
+    """J, α₁, α₂, α₃, Ω and the curvature of KahlerModel(m) with Fraction
+    entries, from their defining formulas on basis vectors."""
+    n, v = 2 * m + 1, 2 * m
+    zero = Fraction(0)
+
+    def basis(i):
+        return [Fraction(int(r == i)) for r in range(n)]
+
+    def jvec(x):  # J e_i = f_i, J f_i = -e_i, J e = 0
+        out = [zero] * n
+        for i in range(m):
+            out[2 * i + 1], out[2 * i] = x[2 * i], -x[2 * i + 1]
+        return out
+
+    def dot(x, y):
+        return sum((a * b for a, b in zip(x, y)), zero)
+
+    def comb(*terms):
+        return [sum((c * x[r] for c, x in terms), zero) for r in range(n)]
+
+    def matrix(image, cols):  # column c = image(c) for c in cols, zero elsewhere
+        columns = {c: image(basis(c)) for c in cols}
+        return tuple(
+            tuple(columns[c][r] if c in columns else zero for c in range(n)) for r in range(n)
+        )
+
+    horizontal = range(2 * m)
+    e = basis(v)
+    jm = matrix(jvec, range(n))
+    alpha1 = {(i,): matrix(lambda x, i=i: comb((dot(x, e), jvec(basis(i)))), range(n))
+              for i in horizontal}
+    alpha2 = {(i,): matrix(lambda x, i=i: comb((dot(basis(i), x), e)), range(n))
+              for i in horizontal}
+    alpha3 = {(i,): matrix(lambda x, i=i: comb((-dot(x, e), basis(i))), range(n))
+              for i in horizontal}
+    big_omega, curv = {}, {}
+    for i, j in itertools.combinations(horizontal, 2):
+        bx, by = basis(i), basis(j)
+        big_omega[(i, j)] = matrix(
+            lambda z: comb((dot(jvec(bx), z), jvec(by)), (-dot(jvec(by), z), jvec(bx))),
+            horizontal,
+        )
+        curv[(i, j)] = matrix(
+            lambda z: comb(
+                (kappa / 4 * dot(by, z), bx), (-kappa / 4 * dot(bx, z), by),
+                (kappa / 4 * dot(jvec(by), z), jvec(bx)), (-kappa / 4 * dot(jvec(bx), z), jvec(by)),
+                (-kappa / 2 * dot(jvec(bx), by), jvec(z)),
+            ),
+            horizontal,
+        )
+    return jm, alpha1, alpha2, alpha3, big_omega, curv
+
+
+def _entries(mat):
+    return [x for row in mat for x in row]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_tensors_match_fraction_references(m):
+    kappa = Fraction(-3, 5)
+    jm, alpha1, alpha2, alpha3, big_omega, curv = _reference_tensors(m, kappa)
+    t = build_tensors(KahlerModel(m))
+    assert t["J"] == jm
+    for name, ref in (("alpha1", alpha1), ("alpha2", alpha2), ("alpha3", alpha3),
+                      ("Omega", big_omega)):
+        assert t[name] == EndForm(t[name].degree, 2 * m + 1, 2 * m + 1, ref), name
+        # the tensors of the model hold Python ints, not Fractions
+        assert all(type(x) is int for mat in t[name].values.values() for x in _entries(mat)), name
+    assert all(type(x) is int for x in _entries(t["J"]))
+    assert t["omega"].values == {(2 * i, 2 * i + 1): 1 for i in range(m)}
+    block = constant_curvature_block(KahlerModel(m), kappa)
+    assert block == EndForm(2, 2 * m + 1, 2 * m + 1, curv)
+    # the bracket stays an integer: entries are κ/4 times an integer, or the int 0
+    for x in (x for mat in block.values.values() for x in _entries(mat)):
+        assert (x / (kappa / 4)).denominator == 1 if x else type(x) is int
