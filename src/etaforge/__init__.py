@@ -42,7 +42,7 @@ from .eta import (
 )
 from .flow import Crossing, FlowResult, flow_in_delta_closed, flow_in_delta_oracle, flow_in_s_oracle
 from .hodge import HodgeProvider, HrrVanishingHodge, SurfaceHodge, TableHodge
-from .scalars import ParamScalar, TruncSeries, fractional_part, universal_series
+from .scalars import TruncSeries, fractional_part, universal_series
 from .spectrum import (
     DolbeaultProvider,
     EigRecord,

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 usage, 2 unresolvable data, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -83,6 +84,17 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _reading_config(block: str):
+    """Read a config block: a malformed value in it is a usage error.  Only
+    the code that reads and validates the blocks runs under this guard, never
+    the maths, so that a bug in the maths is not reported as bad input."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {block} config: {exc!r}") from exc
+
+
 def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     """Flag value if given, else config value, else default."""
     flag = getattr(args, key.replace("-", "_"), None)
@@ -91,6 +103,7 @@ def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
+@_reading_config("geometry")
 def _build_geometry(args: argparse.Namespace, cfg: dict) -> Geometry:
     geo_cfg = cfg.get("geometry", {})
     preset = _merged(args, geo_cfg, "preset")
@@ -106,19 +119,14 @@ def _build_geometry(args: argparse.Namespace, cfg: dict) -> Geometry:
         return projective_like_geometry(m, degree)
     if preset is None and geo_cfg:
         # explicit single-generator data
-        try:
-            return Geometry(
-                m=int(geo_cfg["m"]),
-                top_integral=_parse_rat(str(geo_cfg["top_integral"])),
-                c1L=_parse_rat(str(geo_cfg["c1L"])),
-                c1K=_parse_rat(str(geo_cfg["c1K"])),
-                tangent_roots=tuple(
-                    _parse_rat(str(x)) for x in geo_cfg["tangent_roots"]
-                ),
-                label=str(geo_cfg.get("label", "")),
-            )
-        except KeyError as exc:
-            raise UsageError(f"geometry config missing field {exc}") from exc
+        return Geometry(
+            m=int(geo_cfg["m"]),
+            top_integral=_parse_rat(str(geo_cfg["top_integral"])),
+            c1L=_parse_rat(str(geo_cfg["c1L"])),
+            c1K=_parse_rat(str(geo_cfg["c1K"])),
+            tangent_roots=tuple(_parse_rat(str(x)) for x in geo_cfg["tangent_roots"]),
+            label=str(geo_cfg.get("label", "")),
+        )
     raise UsageError("no geometry given: use --preset or a config geometry block")
 
 
@@ -130,12 +138,11 @@ def _parse_pk_table(raw: dict) -> dict[tuple[int, int], int]:
     return table
 
 
+@_reading_config("hodge")
 def _build_hodge(args: argparse.Namespace, cfg: dict, g: Geometry) -> HodgeProvider:
     hodge_cfg = cfg.get("hodge", {})
     kind = hodge_cfg.get("type")
-    h00 = getattr(args, "h00", None)
-    if h00 is None:
-        h00 = hodge_cfg.get("h00")
+    h00 = _merged(args, hodge_cfg, "h00")
     if kind == "table":
         return TableHodge(g.m, _parse_pk_table(hodge_cfg.get("table", {})))
     if kind == "hrr" or (kind is None and g.m > 1):
@@ -152,6 +159,7 @@ def _build_hodge(args: argparse.Namespace, cfg: dict, g: Geometry) -> HodgeProvi
     )
 
 
+@_reading_config("dolbeault")
 def _build_dolbeault(cfg: dict) -> DolbeaultProvider | None:
     d_cfg = cfg.get("dolbeault")
     if d_cfg is None:
@@ -275,6 +283,8 @@ def cmd_eta(args: argparse.Namespace) -> int:
     g = _build_geometry(args, cfg)
     hp = _build_hodge(args, cfg, g)
     conv = _load_conventions(args, cfg)
+    # built in every mode, so that invalid Dolbeault data is always refused;
+    # only the exact value reads it (for its validity flag)
     provider = _build_dolbeault(cfg)
     # the adiabatic limit does not depend on eps, so that mode does not read it
     eps = None if args.eta_mode == "adiabatic" else _require_rat(args, cfg, "eps")
@@ -282,7 +292,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
     if args.eta_mode == "aps-check":
         r0 = _require_rat(args, cfg, "r0")
         r1 = _require_rat(args, cfg, "r1")
-        check = aps_difference_check(g, hp, r0, r1, eps, conv, provider)
+        check = aps_difference_check(g, hp, r0, r1, eps, conv)
         _emit(
             {
                 "command": "eta aps-check",
@@ -485,7 +495,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     # read and validate the whole block before any maths runs
-    try:
+    with _reading_config("measure"):
         m_cfg = cfg.get("measure", {})
         points = [
             ModelPoint(int(raw["n"]), tuple(float(x) for x in raw["lambdas"]))
@@ -494,8 +504,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
         t_values = [float(t) for t in m_cfg.get("t", [0.5, 1.0, 2.0])]
         s_max = float(m_cfg.get("s_max", 80.0))
         eps_supports = [float(e) for e in m_cfg.get("eps_support", [0.25, 0.0625, 0.015625])]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed measure config: {exc!r}") from exc
     if not (all(0 < t < math.inf for t in t_values) and 0 < s_max < math.inf
             and all(0 < e < 1 for e in eps_supports)):
         raise UsageError("measure t and s_max must be positive and finite, eps_support in (0, 1)")

@@ -3,18 +3,22 @@
 A geometry is described by one degree-2 generator u with ∫ u^m given, plus
 Chern data: c₁(L), c₁(K) (the spin square root of the canonical bundle) and
 the Chern roots of the holomorphic tangent bundle.  A cohomology class is a
-TruncSeries of order m, a polynomial in u with u^{m+1} = 0 and ParamScalar
-coefficients, so integration is a coefficient read-off.
+TruncSeries of order m, a polynomial in u with u^{m+1} = 0 and Fraction
+coefficients, so integration is a coefficient read-off.  The Euler
+characteristic χ(k) is a polynomial in the twist k; it is kept as its
+coefficient tuple, read off ch(K)·td once per geometry.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import UsageError
-from .scalars import ParamScalar, TruncSeries, universal_series
+from .scalars import TruncSeries, universal_series
 
 # largest base dimension m; the series order 2m + 4 grows with it, and at
 # m = 80 one asymptotic eta takes seconds, so a larger m is refused before
@@ -53,9 +57,6 @@ class Geometry:
     def series_order(self) -> int:
         return 2 * self.m + 4
 
-    def c_class(self) -> TruncSeries:
-        return TruncSeries(self.m, [0, self.c1L])
-
     def k_class(self) -> TruncSeries:
         return TruncSeries(self.m, [0, self.c1K])
 
@@ -91,10 +92,24 @@ def projective_like_geometry(m: int, degree: int = 1) -> Geometry:
     )
 
 
-def integrate(g: Geometry, cls: TruncSeries) -> ParamScalar:
+def integrate(g: Geometry, cls: TruncSeries) -> Fraction:
     if cls.order != g.m:
         raise UsageError("class dimension does not match geometry")
     return cls.coeffs[g.m] * g.top_integral
+
+
+def ahat_series(roots: Sequence[Fraction], order: int) -> TruncSeries:
+    """Â of a sum of line bundles whose Chern roots are roots·u, truncated at
+    u^{order}.
+
+    p_ahat is (1/2)log of the single-root factor, so each root contributes
+    2·p_ahat to log(Â).
+    """
+    p = universal_series("p_ahat", order)
+    total = TruncSeries.constant(0, order)
+    for root in roots:
+        total = total + TruncSeries(order, [0, root]).apply_series(p).scale(2)
+    return total.exp()
 
 
 def char_class(g: Geometry, name: str, arg: TruncSeries | None = None) -> TruncSeries:
@@ -106,14 +121,7 @@ def char_class(g: Geometry, name: str, arg: TruncSeries | None = None) -> TruncS
             result = result * TruncSeries(g.m, [0, root]).apply_series(td)
         return result
     if name == "ahat":
-        # p_ahat is (1/2)log of the single-root factor, so each root
-        # contributes 2·p_ahat to log(ahat) (same factor 2 the cylinder
-        # transgression forms carry explicitly)
-        p = universal_series("p_ahat", g.series_order)
-        total = TruncSeries.constant(0, g.m)
-        for root in g.tangent_roots:
-            total = total + TruncSeries(g.m, [0, root]).apply_series(p).scale(2)
-        return total.exp()
+        return ahat_series(g.tangent_roots, g.m)
     if name == "ch_line":
         if arg is None:
             raise UsageError("ch_line requires a class argument")
@@ -121,24 +129,24 @@ def char_class(g: Geometry, name: str, arg: TruncSeries | None = None) -> TruncS
     raise UsageError(f"unknown characteristic class {name!r}")
 
 
-def hrr_chi(g: Geometry, param: str = "k") -> ParamScalar:
-    """Holomorphic Euler characteristic χ(k) = ∫ ch(K⊗L^k)·td(X), k formal."""
-    k = ParamScalar.var(param)
-    line = g.k_class() + g.c_class().scale(k)
-    cls = char_class(g, "ch_line", line) * char_class(g, "todd")
-    return integrate(g, cls)
-
-
 @functools.lru_cache(maxsize=256)
-def _chi_coeffs(g: Geometry) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the HRR polynomial χ, built once per geometry."""
-    return tuple(hrr_chi(g, "s").univariate("s"))
+def hrr_chi(g: Geometry) -> tuple[Fraction, ...]:
+    """Ascending coefficients χ_a of the Euler characteristic
+    χ(k) = ∫ ch(K⊗L^k)·td(X) = Σ_a χ_a k^a, built once per geometry.
+
+    ch(L^k) = exp(k·c₁(L)·u), so χ_a = c₁(L)^a · [u^{m-a}](ch(K)·td) · ∫u^m / a!.
+    """
+    profile = char_class(g, "ch_line", g.k_class()) * char_class(g, "todd")
+    return tuple(
+        g.c1L**a * profile.coeffs[g.m - a] * g.top_integral / math.factorial(a)
+        for a in range(g.m + 1)
+    )
 
 
 def index_integral(g: Geometry, r: Fraction) -> Fraction:
     """∫₀^r χ(s) ds with χ the HRR polynomial in a continuous parameter
     (a signed integral, so r may be negative)."""
     total = Fraction(0)
-    for a, coeff in enumerate(_chi_coeffs(g)):
+    for a, coeff in enumerate(hrr_chi(g)):
         total += coeff * r ** (a + 1) / (a + 1)
     return total

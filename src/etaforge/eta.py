@@ -11,6 +11,20 @@ fixed once by calibrate() against three independent targets: continuity in r
 at 0, the Atiyah-Patodi-Singer difference relation, and the published
 dimension-3 surface formula.  Silent guessing is a bug; an unsatisfiable
 calibration raises NoConsistentConvention.
+
+Every piece is a plain rational; no formal parameter is carried.
+
+- The adiabatic limit integrates Â · f(w/2) · exp(r·w) with w the oriented
+  c₁(L) class.  At integer r, f is the odd bracket (coth z - 1/z)/2 and a
+  Hodge-number correction is added; otherwise f is the fractional bracket
+  (exp(a z)/sinh z - 1/z)/2 built at the rational a = 1 - 2{r}.
+- The transgression ∫₀^ε dδ ∫_X Ω₂ exp(Ω₀) is closed in δ by the
+  fundamental theorem of calculus: exp(Ω₀) is the Â class of the tangent
+  roots shifted by δw plus the root δw, and d/dδ exp(Ω₀) = w·Ω₂·exp(Ω₀), so
+  the integral is ([u^{m+1}]Â_ε - [u^{m+1}]Â_0) / (sign_c·c₁(L)) times ∫u^m
+  (see transgression()).
+- The asymptotic expression is flow_factor · (∫₀^r χ - Σ_{k=1}^{⌊r+εm/2⌋} χ(k))
+  with χ the Riemann-Roch polynomial, kept as its coefficient tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +36,9 @@ from typing import Sequence
 
 from .cohomology import (
     Geometry,
+    ahat_series,
     char_class,
+    hrr_chi,
     index_integral,
     integrate,
     surface_geometry,
@@ -31,9 +47,9 @@ from .errors import NoConsistentConvention, UnknownHodgeData, UsageError
 from .flow import flow_in_delta_closed, flow_in_s_oracle
 from .hodge import HodgeProvider, SurfaceHodge
 from .scalars import (
-    ParamScalar,
-    ScalarLike,
+    RationalLike,
     TruncSeries,
+    fractional_bracket,
     fractional_part,
     universal_series,
 )
@@ -75,9 +91,8 @@ class EtaValue:
         return 2 * self.value - self.kernel_dim
 
 
-def _oriented_c(g: Geometry, conv: ConventionSet, scale: ScalarLike = 1) -> TruncSeries:
-    coef = ParamScalar.coerce(scale) * Fraction(conv.sign_c) * g.c1L
-    return TruncSeries(g.m, [0, coef])
+def _oriented_c(g: Geometry, conv: ConventionSet, scale: RationalLike = 1) -> TruncSeries:
+    return TruncSeries(g.m, [0, scale * conv.sign_c * g.c1L])
 
 
 def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
@@ -94,8 +109,8 @@ def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
 
 
 def _adiabatic_bracket(
-    g: Geometry, conv: ConventionSet, f: TruncSeries, r: ScalarLike
-) -> ParamScalar:
+    g: Geometry, conv: ConventionSet, f: TruncSeries, r: RationalLike
+) -> Fraction:
     """∫ ahat · f(w/2) · exp(r·w) with w the oriented line-bundle class."""
     half_w = _oriented_c(g, conv, Fraction(1, 2))
     cls = char_class(g, "ahat") * half_w.apply_series(f) * _oriented_c(g, conv, r).exp()
@@ -118,9 +133,9 @@ def adiabatic_limit(
     D = g.series_order
     if r.denominator == 1:
         f = universal_series("f_integer", D)
-        return _adiabatic_bracket(g, conv, f, r).as_fraction() + _hodge_correction(g, hp, int(r))
-    f = universal_series("f_fractional", D).substitute({"a": 1 - 2 * fractional_part(r)})
-    return _adiabatic_bracket(g, conv, f, r).as_fraction()
+        return _adiabatic_bracket(g, conv, f, r) + _hodge_correction(g, hp, int(r))
+    f = fractional_bracket(1 - 2 * fractional_part(r), D)
+    return _adiabatic_bracket(g, conv, f, r)
 
 
 def transgression(
@@ -128,32 +143,32 @@ def transgression(
 ) -> Fraction:
     """Cylinder correction term: ∫₀^ε dδ ∫_X Ω₂ · exp(Ω₀), exactly.
 
-    Ω₀ and Ω₂ are built from the even log-bracket series and its derivative,
-    with every tangent root shifted by δ·w; both carry the same factor 2 on
-    the trace and scalar pieces (pinned by the m=1 calibration target).
+    With w = sign_c·c₁(L)·u, Ω₀(δ) = 2Σᵢ p(xᵢ + δw) + 2p(δw) and Ω₂ is the
+    same sum over p', for p the even log-bracket series; the factor 2 on the
+    trace and scalar pieces is pinned by the m = 1 calibration target.
+    Hence d/dδ exp(Ω₀) = w·Ω₂·exp(Ω₀), and exp(Ω₀) = Â_δ is the Â class of
+    the roots xᵢ + δw together with δw.  Taken at order m + 1, where
+    multiplying by w raises u^m to u^{m+1}, the fundamental theorem of
+    calculus in δ gives
+
+        ∫₀^ε dδ [u^m] Ω₂·exp(Ω₀) = ([u^{m+1}]Â_ε - [u^{m+1}]Â_0) / (sign_c·c₁(L)),
+
+    so the δ-integral is a difference of two Â coefficients.  The division
+    needs c₁(L) ≠ 0, as for the positive L of a circle bundle.
     """
     if eps < 0:
         raise UsageError("eps must be nonnegative")
-    D = g.series_order
-    p_even = universal_series("p_ahat", D)
-    p_deriv = universal_series("p_ahat_deriv", D)
-    delta = ParamScalar.var("delta")
-    w_coef = delta * Fraction(conv.sign_c) * g.c1L
-    shift = TruncSeries(g.m, [0, w_coef])
-    omega0 = TruncSeries.constant(0, g.m)
-    omega2 = TruncSeries.constant(0, g.m)
-    for root in g.tangent_roots:
-        arg = TruncSeries(g.m, [0, root]) + shift
-        omega0 = omega0 + arg.apply_series(p_even).scale(2)
-        omega2 = omega2 + arg.apply_series(p_deriv).scale(2)
-    omega0 = omega0 + shift.apply_series(p_even).scale(2)
-    omega2 = omega2 + shift.apply_series(p_deriv).scale(2)
-    integrand = integrate(g, omega2 * omega0.exp())
-    poly = integrand.univariate("delta")
-    total = Fraction(0)
-    for j, coeff in enumerate(poly):
-        total += coeff * eps ** (j + 1) / (j + 1)
-    return total * conv.transgression_scale
+    if g.c1L == 0:
+        raise UsageError("the transgression needs c1(L) != 0")
+    w = conv.sign_c * g.c1L
+
+    def top_coefficient(delta: Fraction) -> Fraction:
+        """[u^{m+1}]Â_δ: the tangent roots shifted by δw, and the root δw."""
+        roots = [root + delta * w for root in g.tangent_roots] + [delta * w]
+        return ahat_series(roots, g.m + 1).coeffs[g.m + 1]
+
+    trans = (top_coefficient(eps) - top_coefficient(Fraction(0))) / w
+    return trans * g.top_integral * conv.transgression_scale
 
 
 def exact_eta(
@@ -196,19 +211,10 @@ def asymptotic_eta(
     if r < 0:
         raise UsageError("r must be nonnegative")
     n_max = math.floor(r + eps * Fraction(g.m, 2))
-    profile = char_class(g, "ch_line", g.k_class()) * char_class(g, "todd")
-    total = Fraction(0)
-    for a in range(g.m + 1):
-        density = (
-            g.c1L**a * profile.coeffs[g.m - a].as_fraction() * g.top_integral
-        )
-        if density == 0:
-            continue
-        fact = Fraction(math.factorial(a))
-        weight = r ** (a + 1) / (fact * (a + 1))
-        weight -= sum(Fraction(k**a) for k in range(1, n_max + 1)) / fact
-        total += weight * density
-    return total * conv.flow_factor
+    below = sum(
+        coeff * sum(k**a for k in range(1, n_max + 1)) for a, coeff in enumerate(hrr_chi(g))
+    )
+    return (index_integral(g, r) - below) * conv.flow_factor
 
 
 @dataclass(frozen=True)
@@ -246,15 +252,14 @@ def aps_difference_check(
     r1: Fraction,
     eps: Fraction,
     conv: ConventionSet = DEFAULT_CONVENTIONS,
-    provider: DolbeaultProvider | None = None,
 ) -> ApsCheck:
     """η̄(r1) - η̄(r0) against flow_factor·(spectral flow + index integral)."""
     r0, r1 = Fraction(r0), Fraction(r1)
     if r0 == r1:
         return ApsCheck(Fraction(0), Fraction(0), True)
     lhs = (
-        exact_eta(g, hp, r1, eps, conv, provider).value
-        - exact_eta(g, hp, r0, eps, conv, provider).value
+        exact_eta(g, hp, r1, eps, conv).value
+        - exact_eta(g, hp, r0, eps, conv).value
     )
     rhs = conv.flow_factor * _aps_rhs(g, hp, r0, r1, Fraction(eps))
     return ApsCheck(lhs, rhs, lhs == rhs)
@@ -308,8 +313,8 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
             continue
         # on (0,1) the bracket is a polynomial in r with a = 1 - 2r, so its
         # r -> 0+ limit is its value at a = 1, r = 0
-        f = universal_series("f_fractional", g.series_order).substitute({"a": 1})
-        limit = _adiabatic_bracket(g, conv, f, 0).as_fraction()
+        f = fractional_bracket(1, g.series_order)
+        limit = _adiabatic_bracket(g, conv, f, 0)
         if limit != adiabatic_limit(g, hp, Fraction(0), conv):
             return False
     return True

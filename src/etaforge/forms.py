@@ -71,7 +71,8 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a value equal to a rational hashes like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)

@@ -10,7 +10,6 @@ raised (never a silent default).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .cohomology import Geometry, hrr_chi
@@ -98,10 +97,9 @@ class HrrVanishingHodge(HodgeProvider):
         self.m = self.geometry.m
         if self.k0 < 1:
             raise UsageError("k0 must be a positive integer")
-        self._chi = hrr_chi(self.geometry, "k")
 
     def _chi_at(self, k: int) -> int:
-        value = self._chi.substitute({"k": Fraction(k)}).as_fraction()
+        value = sum(c * k**a for a, c in enumerate(hrr_chi(self.geometry)))
         if value.denominator != 1:
             raise ProviderConsistencyError(f"chi({k}) = {value} is not an integer")
         return int(value)

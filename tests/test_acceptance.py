@@ -38,7 +38,7 @@ from etaforge.forms import (
 )
 from etaforge.hodge import SurfaceHodge, TableHodge
 from etaforge.measure import ModelPoint, laplace_check, near_zero_bound
-from etaforge.scalars import ParamScalar, fractional_part, universal_series
+from etaforge.scalars import fractional_bracket, fractional_part, universal_series
 from etaforge.spectrum import type2_eigenvalues
 
 
@@ -248,7 +248,7 @@ def test_criterion_09_series_sanity():
                 acc -= quo[i] * den[n - i]
             quo.append(acc / den[0])
         td = universal_series("todd", order)
-        assert [c.as_fraction() for c in td.coeffs] == quo
+        assert list(td.coeffs) == quo
         # p_ahat by composing log(1 + u) with the sinh ratio
         body = [
             Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else Fraction(0)
@@ -262,7 +262,7 @@ def test_criterion_09_series_sanity():
             for i, c in enumerate(power):
                 log_out[i] += Fraction((-1) ** (n + 1), n) * c
         p = universal_series("p_ahat", order)
-        assert [c.as_fraction() for c in p.coeffs] == [
+        assert list(p.coeffs) == [
             Fraction(-1, 2) * c for c in log_out
         ]
         # f_integer by long division of (z - tanh z) by (z tanh z)
@@ -285,29 +285,30 @@ def test_criterion_09_series_sanity():
                 acc -= quo[i] * dnm[n - i]
             quo.append(acc / dnm[0])
         f_int = universal_series("f_integer", order)
-        assert [c.as_fraction() for c in f_int.coeffs] == [q / 2 for q in quo]
-        # f_fractional by long division of (z e^{az} - sinh z) by (z sinh z)
-        a = ParamScalar.var("a")
-        fnum = [ParamScalar.const(0) for _ in range(big + 1)]
-        for n in range(1, big + 1):
-            fnum[n] = a ** (n - 1) * Fraction(1, math.factorial(n - 1))
-            if n % 2 == 1:
-                fnum[n] = fnum[n] - Fraction(1, math.factorial(n))
-        fden = _convolve([Fraction(0), Fraction(1)], sinh, big)
-        fnum, fden = fnum[2:], fden[2:]
-        fquo = []
-        for n in range(order + 1):
-            acc = fnum[n]
-            for i in range(n):
-                acc = acc - fquo[i] * fden[n - i]
-            fquo.append(acc * (Fraction(1) / fden[0]))
-        f_frac = universal_series("f_fractional", order)
-        for n in range(order + 1):
-            assert f_frac.coeffs[n] == fquo[n] * Fraction(1, 2)
+        assert list(f_int.coeffs) == [q / 2 for q in quo]
+        # the fractional bracket by long division of (z e^{az} - sinh z) by
+        # (z sinh z), at order + 2 distinct a: its z^n coefficient has degree
+        # n + 1 <= order + 1 in a, so these values pin it as a polynomial in a
+        fden = _convolve([Fraction(0), Fraction(1)], sinh, big)[2:]
+        for j in range(order + 2):
+            a = Fraction(2 * j - order - 1, order + 1)
+            fnum = [Fraction(0)] * (big + 1)
+            for n in range(1, big + 1):
+                fnum[n] = a ** (n - 1) / math.factorial(n - 1)
+                if n % 2 == 1:
+                    fnum[n] -= Fraction(1, math.factorial(n))
+            fnum = fnum[2:]
+            fquo = []
+            for n in range(order + 1):
+                acc = fnum[n]
+                for i in range(n):
+                    acc -= fquo[i] * fden[n - i]
+                fquo.append(acc / fden[0])
+            assert list(fractional_bracket(a, order).coeffs) == [q / 2 for q in fquo]
         # periodicity: a(r) = 1 - 2{r} is invariant under r -> r + 1
         for r in (Fraction(2, 7), Fraction(13, 9)):
-            assert f_frac.substitute({"a": 1 - 2 * fractional_part(r)}) == f_frac.substitute(
-                {"a": 1 - 2 * fractional_part(r + 1)}
+            assert fractional_bracket(1 - 2 * fractional_part(r), order) == fractional_bracket(
+                1 - 2 * fractional_part(r + 1), order
             )
 
 

@@ -251,6 +251,45 @@ def test_zero_dimensional_geometry_is_refused(tmp_path, capsys):
     assert record["error"] == "UsageError" and "at least 1" in record["detail"]
 
 
+def test_trivial_line_bundle_is_refused(tmp_path, capsys):
+    # c1(L) = 0 once gave value 0 with exit 0; the transgression divides by it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "geometry": {
+            "m": 2, "top_integral": "1", "c1L": "0", "c1K": "0", "tangent_roots": ["0", "0"],
+        },
+        "hodge": {"type": "hrr", "k0": 1, "table": {"0,0": 1, "1,0": 0, "2,0": 0}},
+    }))
+    code, out, err = _run(capsys, "eta", "exact", "--config", str(cfg), "--r", "1/3", "--eps", "1/10")
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "c1(L)" in record["detail"]
+
+
+@pytest.mark.parametrize(
+    "config, block",
+    [
+        ({"geometry": {"preset": "surface", "genus": "x"}}, "geometry"),
+        ({"dolbeault": {"lower_bound": "1", "entries": [[0, 0]]}}, "dolbeault"),
+        ({"hodge": {"type": "table", "table": {"0;1": 1}}}, "hodge"),
+    ],
+    ids=["genus", "dolbeault_entry", "table_key"],
+)
+def test_malformed_config_block_is_a_usage_error(tmp_path, capsys, config, block):
+    """A malformed value in the geometry, hodge or dolbeault block is a JSON
+    usage error with exit 1, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(
+        capsys, "eta", "exact", "--config", str(cfg), "--preset", "surface",
+        "--r", "1/3", "--eps", "1/10",
+    )
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError"
+    assert record["detail"].startswith(f"malformed {block} config")
+
+
 def test_base_dimension_above_the_cap_is_refused(capsys):
     start = time.perf_counter()
     code, out, err = _run(

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 import etaforge.eta as eta_mod
-from etaforge.cohomology import index_integral, surface_geometry
+from etaforge.cohomology import (
+    Geometry,
+    index_integral,
+    integrate,
+    projective_like_geometry,
+    surface_geometry,
+)
 from etaforge.errors import NoConsistentConvention, UsageError
 from etaforge.eta import (
     DEFAULT_CONVENTIONS,
@@ -19,7 +25,7 @@ from etaforge.eta import (
     transgression,
 )
 from etaforge.hodge import SurfaceHodge
-from etaforge.scalars import ParamScalar, TruncSeries, universal_series
+from etaforge.scalars import TruncSeries, fractional_bracket, universal_series
 from etaforge.spectrum import DolbeaultProvider
 
 
@@ -67,6 +73,84 @@ def test_transgression_surface_closed_form():
                 expected = eps**2 * l / 12 - Fraction(eps * chi, 12)
                 assert transgression(g, eps) == expected
     assert transgression(surface_geometry(0, 1), Fraction(0)) == 0
+
+
+def _poly_mul(xs, ys):
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out
+
+
+def _integral_of_interpolant(nodes, values, upper):
+    """∫₀^upper of the polynomial through (nodes, values), exactly: the
+    Lagrange basis polynomials are expanded and integrated term by term."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        basis = [Fraction(1)]
+        for j, xj in enumerate(nodes):
+            if j != i:
+                basis = _poly_mul(basis, [-xj / (xi - xj), 1 / (xi - xj)])
+        total += yi * sum(c * upper ** (n + 1) / (n + 1) for n, c in enumerate(basis))
+    return total
+
+
+def _delta_formal_transgression(g, eps, conv):
+    """∫₀^ε dδ ∫_X Ω₂ · exp(Ω₀), built from its definition.
+
+    Ω₀ = 2Σ p(x + δw) and Ω₂ = 2Σ p'(x + δw) over the tangent roots x and the
+    root 0, with w = sign_c·c₁(L), p the even log-bracket series and p' its
+    termwise derivative.  The integrand has degree at most m in δ, so its
+    values at m + 1 rational nodes give it exactly, and the interpolant is
+    integrated over [0, ε]."""
+    D = g.series_order
+    p = universal_series("p_ahat", D)
+    longer = universal_series("p_ahat", D + 1)
+    p_deriv = TruncSeries(D, [longer.coeffs[n] * n for n in range(1, D + 2)])
+    w = conv.sign_c * g.c1L
+
+    def integrand(delta):
+        omega0 = TruncSeries.constant(0, g.m)
+        omega2 = TruncSeries.constant(0, g.m)
+        for root in (*g.tangent_roots, 0):
+            arg = TruncSeries(g.m, [0, root + delta * w])
+            omega0 = omega0 + arg.apply_series(p).scale(2)
+            omega2 = omega2 + arg.apply_series(p_deriv).scale(2)
+        return integrate(g, omega2 * omega0.exp())
+
+    nodes = [Fraction(j, g.m + 1) for j in range(g.m + 1)]
+    values = [integrand(delta) for delta in nodes]
+    return _integral_of_interpolant(nodes, values, eps) * conv.transgression_scale
+
+
+@pytest.mark.parametrize("sign_c", [1, -1])
+def test_transgression_matches_the_delta_formal_integral(sign_c):
+    """The closed form in δ (a difference of two Â coefficients at order
+    m + 1) against the δ-integral of Ω₂·exp(Ω₀) built from its definition."""
+    geometries = [projective_like_geometry(m, degree) for m in (2, 3, 4, 5) for degree in (1, 2)]
+    geometries += [surface_geometry(genus, l) for genus in (0, 1, 3) for l in (1, 2)]
+    geometries.append(
+        Geometry(3, Fraction(2), Fraction(3, 2), Fraction(-1),
+                 (Fraction(1), Fraction(2, 3), Fraction(1, 3)))
+    )
+    for g in geometries:
+        for scale in (Fraction(1), Fraction(-1, 2)):
+            conv = ConventionSet(sign_c, 1, scale)
+            for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(2)):
+                expected = _delta_formal_transgression(g, eps, conv)
+                assert transgression(g, eps, conv) == expected, (g.label, eps, scale)
+
+
+def test_transgression_refuses_a_trivial_line_bundle():
+    """The closed form divides by c₁(L); a circle bundle of the theory has
+    c₁(L) positive, so c₁(L) = 0 is refused instead of returning 0."""
+    flat = Geometry(2, Fraction(1), Fraction(0), Fraction(0), (Fraction(0), Fraction(0)))
+    curved = Geometry(2, Fraction(1), Fraction(0), Fraction(-1), (Fraction(1), Fraction(1)))
+    for g in (flat, curved):
+        for eps in (Fraction(0), Fraction(1, 10)):
+            with pytest.raises(UsageError, match="c1"):
+                transgression(g, eps)
 
 
 def test_surface_eta_at_zero_closed_form():
@@ -212,18 +296,6 @@ def test_t1_skips_only_unknown_hodge_data():
     assert eta_mod._t1_holds(suite, DEFAULT_CONVENTIONS)
 
 
-def _substitute_polynomial(p, name, value):
-    """p with the parameter name replaced by the polynomial value, by ring
-    operations term by term."""
-    out = ParamScalar.const(0)
-    for mono, c in p.coeffs.items():
-        term = ParamScalar.const(c)
-        for n, e in mono:
-            term = term * (value if n == name else ParamScalar.var(n)) ** e
-        out = out + term
-    return out
-
-
 class _NoKernelAtZero:
     """Hodge data that vanishes at k = 0, so T1 applies to every surface."""
 
@@ -231,19 +303,35 @@ class _NoKernelAtZero:
         return 0
 
 
+def _value_at_zero(nodes, values):
+    """The value at 0 of the polynomial through (nodes, values), by Lagrange
+    extrapolation."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        weight = Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                weight *= -xj / (xi - xj)
+        total += yi * weight
+    return total
+
+
 @pytest.mark.parametrize("sign_c", [1, -1])
 def test_t1_limit_equals_symbolic_limit_in_r(sign_c, monkeypatch):
     """T1 compares the adiabatic limit at 0 with the r -> 0+ limit of the
-    fractional bracket.  The reference keeps r formal (a = 1 - 2r), builds
-    the bracket as a polynomial in r, and only then sets r = 0; T1 must hold
-    exactly when the limit at 0 equals it."""
+    fractional bracket.  On (0, 1) the bracket at a = 1 - 2r is a polynomial
+    in r of degree at most 2m + 1; the reference evaluates it at series_order
+    = 2m + 4 distinct r in (0, 1) and extrapolates exactly to r = 0.  T1 must
+    hold exactly when the limit at 0 equals it."""
     conv = ConventionSet(sign_c, 1, Fraction(1))
-    r = ParamScalar.var("r")
     for g, _ in default_calibration_suite():
-        f = universal_series("f_fractional", g.series_order)
-        f_r = TruncSeries(f.order, [_substitute_polynomial(c, "a", 1 - 2 * r) for c in f.coeffs])
-        symbolic = eta_mod._adiabatic_bracket(g, conv, f_r, r)
-        reference = _substitute_polynomial(symbolic, "r", ParamScalar.const(0)).as_fraction()
+        n = g.series_order
+        nodes = [Fraction(j, n + 1) for j in range(1, n + 1)]
+        values = [
+            eta_mod._adiabatic_bracket(g, conv, fractional_bracket(1 - 2 * r, n), r)
+            for r in nodes
+        ]
+        reference = _value_at_zero(nodes, values)
         for offset, holds in ((0, True), (Fraction(1, 7), False)):
             monkeypatch.setattr(eta_mod, "adiabatic_limit", lambda *a, v=reference + offset: v)
             assert eta_mod._t1_holds([(g, _NoKernelAtZero())], conv) is holds, (g.label, offset)

@@ -35,6 +35,16 @@ def test_gauss_rat_field_ops():
     assert I**3 == GaussRat(Fraction(0), Fraction(-1))
 
 
+def test_gauss_rational_hashes_like_the_rational_it_equals():
+    for value in (0, 1, -3, Fraction(2, 7)):
+        z = GaussRat(Fraction(value))
+        assert z == value and hash(z) == hash(value)
+        assert {value: "x"}.get(z) == "x"
+        assert len({z, value}) == 1
+    assert {GaussRat(Fraction(1), Fraction(1)): "y"}.get(GaussRat(Fraction(1), Fraction(1))) == "y"
+    assert GaussRat(Fraction(1), Fraction(1)) not in {1, Fraction(1)}
+
+
 def _random_scalar_form(rng, degree, dim):
     values = {}
     for combo in itertools.combinations(range(dim), degree):

@@ -21,7 +21,7 @@ PUBLIC_NAMES = sorted("""
 ApsCheck CalibrationResult ConventionSet Crossing DEFAULT_CONVENTIONS
 DolbeaultProvider EigRecord EndForm EtaValue EtaforgeError FlowResult GaussRat
 Geometry HodgeProvider HrrVanishingHodge InvalidDolbeaultData KahlerModel
-LaplaceCheck ModelPoint NearZeroBound NoConsistentConvention ParamScalar
+LaplaceCheck ModelPoint NearZeroBound NoConsistentConvention
 ProviderConsistencyError QuadSurd ScalarForm SeriesDomainError SurfaceHodge
 TableHodge TruncSeries UnknownHodgeData UsageError adiabatic_limit
 alternating_multiplicity aps_difference_check asymptotic_eta build_tensors

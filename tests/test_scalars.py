@@ -1,4 +1,4 @@
-"""Scalar and series layer: ring axioms, independent coefficient oracles."""
+"""Series layer: ring axioms, independent coefficient oracles."""
 
 import math
 from fractions import Fraction
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from etaforge.errors import SeriesDomainError, UsageError
 from etaforge.scalars import (
-    ParamScalar,
     TruncSeries,
+    fractional_bracket,
     fractional_part,
     universal_series,
 )
@@ -18,64 +18,35 @@ from etaforge.scalars import (
 ORDER = 8
 
 
-def _poly(names=("x", "y")):
-    """Strategy for small random ParamScalar polynomials."""
-    coeff = st.fractions(
-        min_value=-5, max_value=5, max_denominator=6
-    )
-    mono = st.lists(
-        st.tuples(st.sampled_from(names), st.integers(1, 3)),
-        max_size=2,
-    ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
-    return st.dictionaries(mono, coeff, max_size=4).map(ParamScalar)
+def _series(order=4):
+    """Strategy for small random series with Fraction coefficients."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.lists(coeff, max_size=order + 1).map(lambda cs: TruncSeries(order, cs))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_poly(), _poly(), _poly())
-def test_param_scalar_ring_axioms(a, b, c):
+@given(_series(), _series(), _series())
+def test_series_ring_axioms(a, b, c):
+    zero, one = TruncSeries.constant(0, 4), TruncSeries.constant(1, 4)
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + ParamScalar.const(0) == a
-    assert a * ParamScalar.const(1) == a
+    assert a + zero == a
+    assert a * one == a
+    assert all(type(x) is Fraction for s in (a * b, a + c, a.scale(3)) for x in s.coeffs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_poly(), st.fractions(min_value=-3, max_value=3, max_denominator=4),
-       st.fractions(min_value=-3, max_value=3, max_denominator=4))
-def test_substitution_is_evaluation(p, vx, vy):
-    """Substituting rationals agrees with naive monomial evaluation."""
-    env = {"x": vx, "y": vy}
-    expected = Fraction(0)
-    for mono, coeff in p.coeffs.items():
-        term = coeff
-        for name, exp in mono:
-            term *= env[name] ** exp
-        expected += term
-    assert p.substitute(env).as_fraction() == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(_poly(), st.fractions(min_value=-3, max_value=3, max_denominator=4),
-       st.fractions(min_value=-3, max_value=3, max_denominator=4))
-def test_partial_substitution_keeps_the_other_parameters(p, vx, vy):
-    """Substituting x leaves a polynomial in y whose monomials have merged;
-    substituting y into it then gives the full evaluation."""
-    partial = p.substitute({"x": vx})
-    assert "x" not in partial.params
-    assert partial.substitute({"y": vy}) == p.substitute({"x": vx, "y": vy})
-
-
-def test_substitute_takes_rationals_only():
-    x, y = ParamScalar.var("x"), ParamScalar.var("y")
-    p = x * y + x * 3
-    assert p.substitute({"y": 1}) == x * 4
+def test_series_takes_rationals_only():
+    s = TruncSeries(2, [0, 1, Fraction(1, 2)])
+    assert all(type(c) is Fraction for c in s.coeffs)
     with pytest.raises(UsageError):
-        p.substitute({"x": y + 1})
+        TruncSeries(2, [0, 0.5])
     with pytest.raises(UsageError):
-        TruncSeries(2, [0, x]).substitute({"x": 0.5})
+        s.scale(0.5)
+    with pytest.raises(UsageError):
+        fractional_bracket(0.5, ORDER)
 
 
 def test_apply_series_composes_and_checks_its_arguments():
@@ -86,21 +57,6 @@ def test_apply_series_composes_and_checks_its_arguments():
         (u + TruncSeries.constant(1, 3)).apply_series(exp_series)
     with pytest.raises(UsageError):
         TruncSeries(ORDER + 1, [0, 1]).apply_series(exp_series)
-
-
-def test_as_fraction_rejects_parameters():
-    p = ParamScalar.var("a") + 3
-    with pytest.raises(UsageError):
-        p.as_fraction()
-    assert p.substitute({"a": Fraction(1, 2)}).as_fraction() == Fraction(7, 2)
-
-
-def test_univariate_coefficients():
-    a = ParamScalar.var("a")
-    p = a * a * Fraction(3, 2) - a + 5
-    assert p.univariate("a") == [Fraction(5), Fraction(-1), Fraction(3, 2)]
-    with pytest.raises(UsageError):
-        (p * ParamScalar.var("b")).univariate("a")
 
 
 def _convolve(xs, ys, order):
@@ -122,7 +78,7 @@ def _convolve(xs, ys, order):
 def test_series_mul_matches_convolution(xs, ys):
     s = TruncSeries(6, xs[:7]) * TruncSeries(6, ys[:7])
     expected = _convolve(xs[:7], ys[:7], 6)
-    assert [c.as_fraction() for c in s.coeffs] == expected
+    assert list(s.coeffs) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,7 +95,7 @@ def test_exp_matches_factorial_series():
     x = TruncSeries.x(ORDER)
     e = x.exp()
     for n, c in enumerate(e.coeffs):
-        assert c.as_fraction() == Fraction(1, math.factorial(n))
+        assert c == Fraction(1, math.factorial(n))
 
 
 def test_divide_roundtrip_and_shared_factor():
@@ -180,7 +136,7 @@ def _bernoulli_oracle(order):
 def test_todd_series_oracle():
     td = universal_series("todd", ORDER)
     oracle = _bernoulli_oracle(ORDER)
-    assert [c.as_fraction() for c in td.coeffs] == oracle
+    assert list(td.coeffs) == oracle
     # spot values: 1, 1/2, 1/12, 0, -1/720
     assert oracle[:5] == [
         Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0), Fraction(-1, 720)
@@ -208,18 +164,11 @@ def test_p_ahat_series_oracle():
         for n in range(ORDER + 1)
     ]
     oracle = [Fraction(-1, 2) * c for c in _log_oracle(body)]
-    assert [c.as_fraction() for c in p.coeffs] == oracle
+    assert list(p.coeffs) == oracle
     # only even powers, regular at 0, z^2 coefficient -1/48
-    assert p.coeffs[0].as_fraction() == 0
-    assert all(p.coeffs[n].as_fraction() == 0 for n in range(1, ORDER + 1, 2))
-    assert p.coeffs[2].as_fraction() == Fraction(-1, 48)
-
-
-def test_p_ahat_deriv_is_the_formal_derivative():
-    p = universal_series("p_ahat", ORDER + 1)
-    d = universal_series("p_ahat_deriv", ORDER)
-    for n in range(ORDER + 1):
-        assert d.coeffs[n] == p.coeffs[n + 1] * (n + 1)
+    assert p.coeffs[0] == 0
+    assert all(p.coeffs[n] == 0 for n in range(1, ORDER + 1, 2))
+    assert p.coeffs[2] == Fraction(-1, 48)
 
 
 def test_f_integer_series_oracle():
@@ -245,68 +194,82 @@ def test_f_integer_series_oracle():
             acc -= quo[i] * den[n - i]
         quo.append(acc / den[0])
     oracle = [q / 2 for q in quo]
-    assert [c.as_fraction() for c in f.coeffs] == oracle
+    assert list(f.coeffs) == oracle
     # odd series with leading coefficient 1/6
-    assert f.coeffs[0].as_fraction() == 0
-    assert f.coeffs[1].as_fraction() == Fraction(1, 6)
-    assert all(f.coeffs[n].as_fraction() == 0 for n in range(0, ORDER + 1, 2))
+    assert f.coeffs[0] == 0
+    assert f.coeffs[1] == Fraction(1, 6)
+    assert all(f.coeffs[n] == 0 for n in range(0, ORDER + 1, 2))
+
+
+# order + 2 distinct values of a: each coefficient of the bracket is a
+# polynomial of degree at most order + 1 in a, so agreement at these values
+# pins it as a polynomial
+_A_VALUES = [Fraction(j - 4, 3) for j in range(ORDER + 2)]
 
 
 def test_f_fractional_constant_term_and_a_one_identity():
-    f = universal_series("f_fractional", ORDER)
-    half_a = ParamScalar.var("a") * Fraction(1, 2)
-    assert f.coeffs[0] == half_a
-    # at a = 1: e^z/sinh z = coth z + 1, so f_fractional - f_integer = 1/2
-    at_one = f.substitute({"a": Fraction(1)})
-    f_int = universal_series("f_integer", ORDER)
-    diff = at_one - f_int
-    assert diff.coeffs[0].as_fraction() == Fraction(1, 2)
-    assert all(c.is_zero() for c in diff.coeffs[1:])
+    for a in _A_VALUES:
+        assert fractional_bracket(a, ORDER).coeffs[0] == a / 2
+    # at a = 1: e^z/sinh z = coth z + 1, so the bracket - f_integer = 1/2
+    diff = fractional_bracket(1, ORDER) - universal_series("f_integer", ORDER)
+    assert diff.coeffs[0] == Fraction(1, 2)
+    assert not any(diff.coeffs[1:])
+    # and f_integer is the mean of the bracket at a = ±1
+    for order in range(4, 21):
+        mean = (fractional_bracket(1, order) + fractional_bracket(-1, order)).scale(Fraction(1, 2))
+        assert mean == universal_series("f_integer", order)
+
+
+def _fractional_oracle(a, order):
+    """Product-expansion oracle: (z e^{az} - sinh z) / (2 z sinh z), by long
+    division of the z^2-shifted factorial coefficients."""
+    big = order + 2
+    num = [Fraction(0)] * (big + 1)
+    for n in range(1, big + 1):
+        num[n] = a ** (n - 1) / math.factorial(n - 1)
+        if n % 2 == 1:
+            num[n] -= Fraction(1, math.factorial(n))
+    sinh = [Fraction(1, math.factorial(n)) if n % 2 else Fraction(0) for n in range(big + 1)]
+    den = _convolve([Fraction(0), Fraction(1)], sinh, big)
+    num, den = num[2:], den[2:]
+    quo = []
+    for n in range(order + 1):
+        acc = num[n]
+        for i in range(n):
+            acc -= quo[i] * den[n - i]
+        quo.append(acc / den[0])
+    return [q / 2 for q in quo]
 
 
 def test_f_fractional_composition_oracle():
-    """Product-expansion oracle: f = (z e^{az} - sinh z) / (2 z sinh z)."""
-    a = ParamScalar.var("a")
-    order = ORDER + 2
-    num = [ParamScalar.const(0) for _ in range(order + 1)]
-    for n in range(1, order + 1):
-        num[n] = a ** (n - 1) * Fraction(1, math.factorial(n - 1))
-        if n % 2 == 1:
-            num[n] = num[n] - Fraction(1, math.factorial(n))
-    sinh = [Fraction(1, math.factorial(n)) if n % 2 else Fraction(0) for n in range(order + 1)]
-    den = _convolve([Fraction(0), Fraction(1)], sinh, order)
-    num, den = num[2:], den[2:]
-    quo = []
-    for n in range(ORDER + 1):
-        acc = num[n]
-        for i in range(n):
-            acc = acc - quo[i] * den[n - i]
-        quo.append(acc * (Fraction(1) / den[0]))
-    f = universal_series("f_fractional", ORDER)
-    for n in range(ORDER + 1):
-        assert f.coeffs[n] == quo[n] * Fraction(1, 2)
+    for a in _A_VALUES:
+        f = fractional_bracket(a, ORDER)
+        assert list(f.coeffs) == _fractional_oracle(a, ORDER)
+        assert all(type(c) is Fraction for c in f.coeffs)
 
 
 def test_f_fractional_periodicity_in_r():
-    """a = 1 - 2{r} is invariant under r -> r + 1, so the substituted
-    series is identical."""
-    f = universal_series("f_fractional", ORDER)
+    """a = 1 - 2{r} is invariant under r -> r + 1, so the bracket is too."""
     for r in (Fraction(1, 3), Fraction(7, 5), Fraction(-2, 7)):
         a0 = 1 - 2 * fractional_part(r)
         a1 = 1 - 2 * fractional_part(r + 1)
         assert a0 == a1
-        assert f.substitute({"a": a0}) == f.substitute({"a": a1})
+        assert fractional_bracket(a0, ORDER) == fractional_bracket(a1, ORDER)
 
 
 def test_universal_series_is_memoised_and_still_validates():
-    for name in ("todd", "p_ahat", "p_ahat_deriv", "f_integer", "f_fractional"):
+    for name in ("todd", "p_ahat", "f_integer"):
         assert universal_series(name, ORDER) is universal_series(name, ORDER)
     assert universal_series("todd", ORDER) is not universal_series("todd", ORDER + 1)
     for _ in range(2):
         with pytest.raises(UsageError):
             universal_series("todd", 0)
         with pytest.raises(UsageError):
-            universal_series("no_such_series", ORDER)
+            fractional_bracket(Fraction(1, 3), 0)
+        # the formal-parameter series are gone
+        for name in ("no_such_series", "f_fractional", "p_ahat_deriv"):
+            with pytest.raises(UsageError):
+                universal_series(name, ORDER)
 
 
 def test_fractional_part():
