@@ -11,7 +11,6 @@ from importlib import import_module as _import_module
 
 from .cohomology import (
     Geometry,
-    char_class,
     hrr_chi,
     index_integral,
     integrate,

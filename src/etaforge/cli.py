@@ -175,16 +175,18 @@ def _load_conventions(args: argparse.Namespace, cfg: dict) -> ConventionSet:
     path = getattr(args, "conventions", None) or cfg.get("conventions")
     if path is None:
         return DEFAULT_CONVENTIONS
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        return ConventionSet(
-            sign_c=int(record["sign_c"]),
-            flow_factor=int(record["flow_factor"]),
-            transgression_scale=_parse_rat(str(record["transgression_scale"])),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise UsageError(f"cannot read conventions {path}: {exc}") from exc
+    with _reading_config("conventions"):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read conventions {path}: {exc}") from exc
+        knobs = {key: record[key] for key in ("sign_c", "flow_factor")}
+        # a knob is a JSON integer: a float is not rounded, and true is no ±1
+        if any(type(value) is not int for value in knobs.values()):
+            raise ValueError(f"sign_c and flow_factor must be JSON integers: {knobs}")
+        scale = _parse_rat(str(record["transgression_scale"]))
+        return ConventionSet(**knobs, transgression_scale=scale)
 
 
 def _conv_record(conv: ConventionSet) -> dict:

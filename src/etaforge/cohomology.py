@@ -4,9 +4,11 @@ A geometry is described by one degree-2 generator u with ∫ u^m given, plus
 Chern data: c₁(L), c₁(K) (the spin square root of the canonical bundle) and
 the Chern roots of the holomorphic tangent bundle.  A cohomology class is a
 TruncSeries of order m, a polynomial in u with u^{m+1} = 0 and Fraction
-coefficients, so integration is a coefficient read-off.  The Euler
-characteristic χ(k) is a polynomial in the twist k; it is kept as its
-coefficient tuple, read off ch(K)·td once per geometry.
+coefficients, so integration is a coefficient read-off.  Every Chern root
+is a rational multiple x·u of u, so a multiplicative class Πᵢ Q(xᵢu) is
+exp(Σₙ [log Q]ₙ·pₙ·uⁿ) with pₙ = Σᵢ xᵢⁿ the power sums of the roots: Â and td
+are built so, once per geometry.  The Euler characteristic χ(k), a polynomial
+in the twist k, is kept as its coefficient tuple, read off ch(K)·td.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import UsageError
-from .scalars import TruncSeries, universal_series
+from .scalars import TruncSeries, exp_series, universal_series
 
-# largest base dimension m; the series order 2m + 4 grows with it, and at
-# m = 80 one asymptotic eta takes seconds, so a larger m is refused before
-# any series is built
+# largest base dimension m, an input bound: classes are series of order m or
+# m + 1 and Hodge data are read for p = 0..m; a larger m is refused before any
+# series is built
 _MAX_BASE_DIMENSION = 32
 
 
@@ -52,13 +54,6 @@ class Geometry:
             raise UsageError(
                 "spin condition violated: 2·c1K must equal -(sum of tangent roots)"
             )
-
-    @property
-    def series_order(self) -> int:
-        return 2 * self.m + 4
-
-    def k_class(self) -> TruncSeries:
-        return TruncSeries(self.m, [0, self.c1K])
 
 
 def surface_geometry(genus: int, degree: int) -> Geometry:
@@ -98,35 +93,30 @@ def integrate(g: Geometry, cls: TruncSeries) -> Fraction:
     return cls.coeffs[g.m] * g.top_integral
 
 
+def _genus(roots: Sequence[Fraction], log_q: TruncSeries, order: int) -> TruncSeries:
+    """Πᵢ Q(xᵢu) for the roots xᵢ, truncated at u^{order}: exp(Σₙ log_qₙ·pₙ·uⁿ)
+    with log_q = log Q (zero constant term) and pₙ = Σᵢ xᵢⁿ."""
+    return TruncSeries(
+        order, [0] + [log_q.coeffs[n] * sum(x**n for x in roots) for n in range(1, order + 1)]
+    ).exp()
+
+
 def ahat_series(roots: Sequence[Fraction], order: int) -> TruncSeries:
-    """Â of a sum of line bundles whose Chern roots are roots·u, truncated at
-    u^{order}.
-
-    p_ahat is (1/2)log of the single-root factor, so each root contributes
-    2·p_ahat to log(Â).
-    """
-    p = universal_series("p_ahat", order)
-    total = TruncSeries.constant(0, order)
-    for root in roots:
-        total = total + TruncSeries(order, [0, root]).apply_series(p).scale(2)
-    return total.exp()
+    """Â of line bundles with Chern roots roots·u, truncated at u^{order}:
+    log Q = 2·p_ahat, as p_ahat is (1/2)log of the single-root factor."""
+    return _genus(roots, universal_series("p_ahat", order).scale(2), order)
 
 
-def char_class(g: Geometry, name: str, arg: TruncSeries | None = None) -> TruncSeries:
-    """todd, ahat, or ch_line(arg) of the geometry."""
-    if name == "todd":
-        td = universal_series("todd", g.series_order)
-        result = TruncSeries.constant(1, g.m)
-        for root in g.tangent_roots:
-            result = result * TruncSeries(g.m, [0, root]).apply_series(td)
-        return result
-    if name == "ahat":
-        return ahat_series(g.tangent_roots, g.m)
-    if name == "ch_line":
-        if arg is None:
-            raise UsageError("ch_line requires a class argument")
-        return arg.exp()
-    raise UsageError(f"unknown characteristic class {name!r}")
+@functools.lru_cache(maxsize=256)
+def ahat_class(g: Geometry) -> TruncSeries:
+    """Â(X) of the tangent roots, built once per geometry."""
+    return ahat_series(g.tangent_roots, g.m)
+
+
+@functools.lru_cache(maxsize=256)
+def todd_class(g: Geometry) -> TruncSeries:
+    """td(X) of the tangent roots, built once per geometry."""
+    return _genus(g.tangent_roots, universal_series("todd", g.m).log(), g.m)
 
 
 @functools.lru_cache(maxsize=256)
@@ -136,7 +126,7 @@ def hrr_chi(g: Geometry) -> tuple[Fraction, ...]:
 
     ch(L^k) = exp(k·c₁(L)·u), so χ_a = c₁(L)^a · [u^{m-a}](ch(K)·td) · ∫u^m / a!.
     """
-    profile = char_class(g, "ch_line", g.k_class()) * char_class(g, "todd")
+    profile = exp_series(g.m, g.c1K) * todd_class(g)
     return tuple(
         g.c1L**a * profile.coeffs[g.m - a] * g.top_integral / math.factorial(a)
         for a in range(g.m + 1)

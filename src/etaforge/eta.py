@@ -14,10 +14,12 @@ calibration raises NoConsistentConvention.
 
 Every piece is a plain rational; no formal parameter is carried.
 
-- The adiabatic limit integrates Â · f(w/2) · exp(r·w) with w the oriented
-  c₁(L) class.  At integer r, f is the odd bracket (coth z - 1/z)/2 and a
-  Hodge-number correction is added; otherwise f is the fractional bracket
-  (exp(a z)/sinh z - 1/z)/2 built at the rational a = 1 - 2{r}.
+- The adiabatic limit integrates Â(X) · f(w/2·u) · exp(r·w·u) with
+  w = sign_c·c₁(L), every factor at order m, the only one the integral
+  reads; Â(X) is cached per geometry.  At integer r, f is the odd bracket
+  (coth z - 1/z)/2 and a Hodge-number correction is added; otherwise f is the
+  fractional bracket (exp(a z)/sinh z - 1/z)/2 built at the rational
+  a = 1 - 2{r}.
 - The transgression ∫₀^ε dδ ∫_X Ω₂ exp(Ω₀) is closed in δ by the
   fundamental theorem of calculus: exp(Ω₀) is the Â class of the tangent
   roots shifted by δw plus the root δw, and d/dδ exp(Ω₀) = w·Ω₂·exp(Ω₀), so
@@ -36,8 +38,8 @@ from typing import Sequence
 
 from .cohomology import (
     Geometry,
+    ahat_class,
     ahat_series,
-    char_class,
     hrr_chi,
     index_integral,
     integrate,
@@ -49,6 +51,7 @@ from .hodge import HodgeProvider, SurfaceHodge
 from .scalars import (
     RationalLike,
     TruncSeries,
+    exp_series,
     fractional_bracket,
     fractional_part,
     universal_series,
@@ -91,10 +94,6 @@ class EtaValue:
         return 2 * self.value - self.kernel_dim
 
 
-def _oriented_c(g: Geometry, conv: ConventionSet, scale: RationalLike = 1) -> TruncSeries:
-    return TruncSeries(g.m, [0, scale * conv.sign_c * g.c1L])
-
-
 def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
     total = Fraction(0)
     if g.m % 2 == 0:
@@ -111,10 +110,11 @@ def _hodge_correction(g: Geometry, hp: HodgeProvider, k: int) -> Fraction:
 def _adiabatic_bracket(
     g: Geometry, conv: ConventionSet, f: TruncSeries, r: RationalLike
 ) -> Fraction:
-    """∫ ahat · f(w/2) · exp(r·w) with w the oriented line-bundle class."""
-    half_w = _oriented_c(g, conv, Fraction(1, 2))
-    cls = char_class(g, "ahat") * half_w.apply_series(f) * _oriented_c(g, conv, r).exp()
-    return integrate(g, cls)
+    """∫ Â · f(w/2·u) · exp(r·w·u) with w = sign_c·c₁(L), the oriented
+    line-bundle class; f(w/2·u) is f with its uⁿ coefficient times (w/2)ⁿ."""
+    w = conv.sign_c * g.c1L
+    f_half_w = TruncSeries(g.m, [c * (w / 2) ** n for n, c in enumerate(f.coeffs[: g.m + 1])])
+    return integrate(g, ahat_class(g) * f_half_w * exp_series(g.m, r * w))
 
 
 def adiabatic_limit(
@@ -130,11 +130,10 @@ def adiabatic_limit(
     bracket with a = 1 - 2{r}.
     """
     r = Fraction(r)
-    D = g.series_order
     if r.denominator == 1:
-        f = universal_series("f_integer", D)
+        f = universal_series("f_integer", g.m)
         return _adiabatic_bracket(g, conv, f, r) + _hodge_correction(g, hp, int(r))
-    f = fractional_bracket(1 - 2 * fractional_part(r), D)
+    f = fractional_bracket(1 - 2 * fractional_part(r), g.m)
     return _adiabatic_bracket(g, conv, f, r)
 
 
@@ -313,7 +312,7 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
             continue
         # on (0,1) the bracket is a polynomial in r with a = 1 - 2r, so its
         # r -> 0+ limit is its value at a = 1, r = 0
-        f = fractional_bracket(1, g.series_order)
+        f = fractional_bracket(1, g.m)
         limit = _adiabatic_bracket(g, conv, f, 0)
         if limit != adiabatic_limit(g, hp, Fraction(0), conv):
             return False

@@ -2,10 +2,12 @@
 
 Everything downstream (cohomology classes, eta values, flow counts) is built
 over these series, so all arithmetic here is exact.  Every coefficient is a
-Fraction.  No series carries a formal parameter: each quantity that depends
-on one (the coupling δ of the transgression, the twist k of the Euler
-characteristic, the fractional-part variable a of the eta-form bracket) is
-evaluated at rationals or read off in closed form by its caller.
+Fraction.  No series is composed with another: the classes downstream take
+power sums of Chern roots, and a series at a multiple of the generator is a
+dilation of its coefficients.  No series carries a formal parameter: each
+quantity that depends on one (the coupling δ of the transgression, the twist
+k of the Euler characteristic, the fractional-part variable a of the eta-form
+bracket) is evaluated at rationals or read off in closed form by its caller.
 """
 
 from __future__ import annotations
@@ -88,23 +90,6 @@ class TruncSeries:
         s = _as_fraction(s)
         return TruncSeries(self.order, [c * s for c in self.coeffs])
 
-    def apply_series(self, series: "TruncSeries") -> "TruncSeries":
-        """series(self), truncated at this order.
-
-        The constant term of self must vanish so that powers terminate; the
-        constant term of series may be anything.
-        """
-        if self.coeffs[0]:
-            raise UsageError("series argument must have zero constant term")
-        if series.order < self.order:
-            raise UsageError("series truncated below the order of its argument")
-        result = TruncSeries.constant(series.coeffs[0], self.order)
-        power = TruncSeries.constant(1, self.order)
-        for i in range(1, self.order + 1):
-            power = power * self
-            result = result + power.scale(series.coeffs[i])
-        return result
-
     def exp(self) -> "TruncSeries":
         if self.coeffs[0]:
             raise SeriesDomainError("exp requires zero constant term")
@@ -168,7 +153,8 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
 
 
-def _exp_series(order: int, scale: Fraction = Fraction(1)) -> TruncSeries:
+def exp_series(order: int, scale: Fraction = Fraction(1)) -> TruncSeries:
+    """exp(scale·x), truncated at order."""
     return TruncSeries(
         order, [Fraction(scale**n, math.factorial(n)) for n in range(order + 1)]
     )
@@ -206,7 +192,7 @@ def _universal_series(name: str, D: int) -> TruncSeries:
     _check_order(D)
     if name == "todd":
         num = TruncSeries.x(D + 1)
-        den = TruncSeries.constant(1, D + 1) - _exp_series(D + 1, Fraction(-1))
+        den = TruncSeries.constant(1, D + 1) - exp_series(D + 1, Fraction(-1))
         return num.divide(den, shared_factor=1)
     if name == "p_ahat":
         # sinh(z/2)/(z/2) = sum z^{2k} / (4^k (2k+1)!)
@@ -232,7 +218,7 @@ def fractional_bracket(a: RationalLike, D: int) -> TruncSeries:
     """
     _check_order(D)
     # z·exp(a z) - sinh z, divisible by z^2
-    num = TruncSeries(D + 2, [0, *_exp_series(D + 1, _as_fraction(a)).coeffs]) - _sinh_series(D + 2)
+    num = TruncSeries(D + 2, [0, *exp_series(D + 1, _as_fraction(a)).coeffs]) - _sinh_series(D + 2)
     den = TruncSeries.x(D + 2) * _sinh_series(D + 2)
     return num.divide(den, shared_factor=2).scale(Fraction(1, 2))
 

@@ -369,6 +369,34 @@ def test_calibrate_persists_and_is_consumed(tmp_path, capsys):
     assert json.loads(out)["conventions"]["sign_c"] == -1
 
 
+_GOOD_CONVENTIONS = {"sign_c": -1, "flow_factor": 1, "transgression_scale": "1"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        json.dumps({**_GOOD_CONVENTIONS, "sign_c": [1]}),
+        json.dumps({**_GOOD_CONVENTIONS, "flow_factor": 1.9}),
+        json.dumps({**_GOOD_CONVENTIONS, "sign_c": True}),
+        "{not json",
+    ],
+    ids=["list", "list_knob", "float_knob", "bool_knob", "not_json"],
+)
+def test_malformed_conventions_file_is_a_usage_error(tmp_path, capsys, text):
+    """A conventions file that is not an object of integer knobs is a JSON
+    usage error with exit 1: no traceback, and no knob truncated by int()."""
+    conv_path = tmp_path / "conv.json"
+    conv_path.write_text(text)
+    code, out, err = _run(
+        capsys,
+        "eta", "exact", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r", "0", "--eps", "1/10", "--conventions", str(conv_path),
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_spectrum_csv_contains_surd_components(capsys):
     code, out, _ = _run(
         capsys,

@@ -1,5 +1,6 @@
 """Cohomology-ring model: truncation, characteristic classes, Riemann-Roch."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,33 +8,52 @@ import pytest
 from etaforge.cohomology import (
     _MAX_BASE_DIMENSION,
     Geometry,
-    char_class,
+    ahat_class,
+    ahat_series,
     hrr_chi,
     index_integral,
     integrate,
     projective_like_geometry,
     surface_geometry,
+    todd_class,
 )
 from etaforge.errors import UsageError
-from etaforge.scalars import TruncSeries, universal_series
+from etaforge.scalars import TruncSeries, exp_series, universal_series
+
+
+def _compose(series, x, order):
+    """series(x·u) truncated at u^order, by summing powers of x·u: the
+    reference for the power-sum classes, which never compose series."""
+    arg = TruncSeries(order, [0, x])
+    result = TruncSeries.constant(series.coeffs[0], order)
+    power = TruncSeries.constant(1, order)
+    for n in range(1, order + 1):
+        power = power * arg
+        result = result + power.scale(series.coeffs[n])
+    return result
+
+
+def _per_root_product(series, roots, order):
+    """Πᵢ series(xᵢu), truncated at u^order."""
+    result = TruncSeries.constant(1, order)
+    for x in roots:
+        result = result * _compose(series, x, order)
+    return result
+
+
+def _ahat_factor(order):
+    """(z/2)/sinh(z/2) = 1 / Σ z^{2k} / (4^k (2k+1)!), truncated at order."""
+    body = TruncSeries(order, [
+        Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else 0
+        for n in range(order + 1)
+    ])
+    return TruncSeries.constant(1, order).divide(body)
 
 
 def test_truncation_kills_high_powers():
     u = TruncSeries(3, [0, 1])
     assert (u * u * u * u).coeffs == TruncSeries.constant(0, 3).coeffs
     assert (u * u * u).coeffs[3] == 1
-
-
-def test_exp_and_apply_series_consistency():
-    u = TruncSeries(2, [0, Fraction(3)])
-    # exp must agree with applying the exponential series
-    exp_series = universal_series("todd", 8)  # any series with the same order
-    direct = u.exp()
-    assert direct.coeffs[0] == 1
-    assert direct.coeffs[1] == 3
-    assert direct.coeffs[2] == Fraction(9, 2)
-    with pytest.raises(UsageError):
-        TruncSeries.constant(1, 2).apply_series(exp_series)
 
 
 def test_spin_condition_enforced():
@@ -56,7 +76,8 @@ def test_base_dimension_must_be_positive():
 
 
 def test_base_dimension_is_capped():
-    # the series order 2m + 4 grows with m: m = 80 took seconds per eta value
+    # an input bound: the classes are series of order m + 1 at most, but m
+    # also sizes every Hodge and spectrum loop, so it stays bounded
     cap = _MAX_BASE_DIMENSION
     assert projective_like_geometry(cap).m == cap
     with pytest.raises(UsageError, match="above the limit"):
@@ -84,7 +105,7 @@ def test_todd_class_surface():
     # td(X) = 1 + c1(TX)/2 on a curve; c1(TX) = 2 - 2g
     for genus in (0, 1, 3):
         g = surface_geometry(genus, 1)
-        td = char_class(g, "todd")
+        td = todd_class(g)
         assert td.coeffs[0] == 1
         assert td.coeffs[1] == Fraction(2 - 2 * genus, 2)
 
@@ -92,7 +113,7 @@ def test_todd_class_surface():
 def test_ahat_degree_two_coefficient():
     # Â = 1 - p1/24 + ... with p1 = sum of squared tangent roots
     g = projective_like_geometry(2)
-    ahat = char_class(g, "ahat")
+    ahat = ahat_class(g)
     assert ahat.coeffs[0] == 1
     assert ahat.coeffs[1] == 0
     assert ahat.coeffs[2] == Fraction(-2, 24)
@@ -104,7 +125,7 @@ def test_ahat_degree_two_coefficient():
         c1K=Fraction(-1, 2),
         tangent_roots=(Fraction(1), Fraction(0)),
     )
-    ahat1 = char_class(one_root, "ahat")
+    ahat1 = ahat_class(one_root)
     assert ahat1.coeffs[2] == Fraction(-1, 24)
 
 
@@ -125,19 +146,23 @@ def test_index_integral_surface():
     assert index_integral(g, Fraction(-1)) == Fraction(3, 2)
 
 
-def test_index_integral_builds_chi_once_per_geometry(monkeypatch):
+def test_index_integral_builds_chi_once_per_geometry():
     import etaforge.cohomology as coh
 
     g = projective_like_geometry(3, 2)
     chi = hrr_chi(g)
-    calls = []
-    monkeypatch.setattr(coh, "char_class", lambda *a: calls.append(a) or char_class(*a))
     coh.hrr_chi.cache_clear()
+    coh.todd_class.cache_clear()
+    others = [projective_like_geometry(2), surface_geometry(1, 3)]
+    for geometry in (g, *others):
+        for r in (Fraction(-7, 3), Fraction(0), Fraction(1, 2), Fraction(5)):
+            index_integral(geometry, r)
     for r in (Fraction(-7, 3), Fraction(0), Fraction(1, 2), Fraction(5)):
         direct = sum(c * r ** (a + 1) / (a + 1) for a, c in enumerate(chi))
         assert index_integral(g, r) == direct
-    # one ch(K) and one todd class: the χ coefficients are built once
-    assert [a[1] for a in calls] == ["ch_line", "todd"]
+    # one todd class per geometry: the χ coefficients are built once
+    assert coh.todd_class.cache_info().misses == 3
+    assert coh.hrr_chi.cache_info().misses == 3
     assert coh.hrr_chi(g) is coh.hrr_chi(g)
 
 
@@ -150,10 +175,9 @@ def test_hrr_chi_matches_the_polynomial_in_k():
         Geometry(3, Fraction(2), Fraction(3, 2), Fraction(-1),
                  (Fraction(1), Fraction(2, 3), Fraction(1, 3))),
     ):
-        td = char_class(g, "todd")
+        td = todd_class(g)
         for k in range(-2, g.m):
-            line = TruncSeries(g.m, [0, g.c1K + k * g.c1L])
-            direct = integrate(g, char_class(g, "ch_line", line) * td)
+            direct = integrate(g, exp_series(g.m, g.c1K + k * g.c1L) * td)
             assert sum(c * k**a for a, c in enumerate(hrr_chi(g))) == direct
 
 
@@ -169,3 +193,35 @@ def test_hrr_chi_integer_valued_on_abelian_like():
     chi = hrr_chi(g)
     for k in range(-3, 4):
         assert sum(c * k**a for a, c in enumerate(chi)) == k * k
+
+
+_ODD_ROOTS = [
+    Geometry(3, Fraction(2), Fraction(3, 2), Fraction(-1),
+             (Fraction(1), Fraction(2, 3), Fraction(1, 3))),
+    Geometry(3, Fraction(1), Fraction(-2), Fraction(1, 2),
+             (Fraction(-1), Fraction(1, 2), Fraction(-1, 2))),
+    Geometry(4, Fraction(3), Fraction(2), Fraction(-1, 3),
+             (Fraction(1), Fraction(-1, 3), Fraction(0), Fraction(0))),
+    Geometry(2, Fraction(1), Fraction(1), Fraction(0), (Fraction(0), Fraction(0))),
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [projective_like_geometry(m, d) for m in range(1, 9) for d in (1, 2)]
+    + [surface_geometry(genus, 1) for genus in range(4)]
+    + _ODD_ROOTS,
+    ids=lambda g: g.label or f"m{g.m}{g.tangent_roots}",
+)
+def test_power_sum_classes_match_the_per_root_product(g):
+    """Â and td from the power sums of the roots against Πᵢ Q(xᵢu), each
+    factor composed by repeated multiplication: at order m for the classes,
+    at m + 1 for the series the transgression reads."""
+    m = g.m
+    assert ahat_class(g) == _per_root_product(_ahat_factor(m), g.tangent_roots, m)
+    assert todd_class(g) == _per_root_product(universal_series("todd", m), g.tangent_roots, m)
+    assert ahat_series(g.tangent_roots, m + 1) == _per_root_product(
+        _ahat_factor(m + 1), g.tangent_roots, m + 1
+    )
+    shifted = [x + Fraction(1, 7) for x in g.tangent_roots] + [Fraction(-3, 2)]
+    assert ahat_series(shifted, m + 1) == _per_root_product(_ahat_factor(m + 1), shifted, m + 1)

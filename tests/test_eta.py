@@ -27,6 +27,7 @@ from etaforge.eta import (
 from etaforge.hodge import SurfaceHodge
 from etaforge.scalars import TruncSeries, fractional_bracket, universal_series
 from etaforge.spectrum import DolbeaultProvider
+from test_cohomology import _compose
 
 
 def _genus0(l=1):
@@ -104,19 +105,17 @@ def _delta_formal_transgression(g, eps, conv):
     termwise derivative.  The integrand has degree at most m in δ, so its
     values at m + 1 rational nodes give it exactly, and the interpolant is
     integrated over [0, ε]."""
-    D = g.series_order
-    p = universal_series("p_ahat", D)
-    longer = universal_series("p_ahat", D + 1)
-    p_deriv = TruncSeries(D, [longer.coeffs[n] * n for n in range(1, D + 2)])
+    p = universal_series("p_ahat", g.m)
+    longer = universal_series("p_ahat", g.m + 1)
+    p_deriv = TruncSeries(g.m, [longer.coeffs[n] * n for n in range(1, g.m + 2)])
     w = conv.sign_c * g.c1L
 
     def integrand(delta):
         omega0 = TruncSeries.constant(0, g.m)
         omega2 = TruncSeries.constant(0, g.m)
         for root in (*g.tangent_roots, 0):
-            arg = TruncSeries(g.m, [0, root + delta * w])
-            omega0 = omega0 + arg.apply_series(p).scale(2)
-            omega2 = omega2 + arg.apply_series(p_deriv).scale(2)
+            omega0 = omega0 + _compose(p, root + delta * w, g.m).scale(2)
+            omega2 = omega2 + _compose(p_deriv, root + delta * w, g.m).scale(2)
         return integrate(g, omega2 * omega0.exp())
 
     nodes = [Fraction(j, g.m + 1) for j in range(g.m + 1)]
@@ -249,6 +248,15 @@ def test_calibrate_finds_the_unique_convention():
     assert result.note == ""
 
 
+def test_calibrate_builds_ahat_once_per_suite_geometry():
+    import etaforge.cohomology as coh
+
+    coh.ahat_class.cache_clear()
+    calibrate()
+    # every adiabatic bracket of a geometry shares one cached Â class
+    assert 0 < coh.ahat_class.cache_info().misses <= len(default_calibration_suite())
+
+
 def test_calibrate_requires_surface_presets():
     with pytest.raises(UsageError):
         calibrate(suite=[])
@@ -320,12 +328,12 @@ def _value_at_zero(nodes, values):
 def test_t1_limit_equals_symbolic_limit_in_r(sign_c, monkeypatch):
     """T1 compares the adiabatic limit at 0 with the r -> 0+ limit of the
     fractional bracket.  On (0, 1) the bracket at a = 1 - 2r is a polynomial
-    in r of degree at most 2m + 1; the reference evaluates it at series_order
-    = 2m + 4 distinct r in (0, 1) and extrapolates exactly to r = 0.  T1 must
-    hold exactly when the limit at 0 equals it."""
+    in r of degree at most 2m + 1; the reference evaluates it at 2m + 4
+    distinct r in (0, 1) and extrapolates exactly to r = 0.  T1 must hold
+    exactly when the limit at 0 equals it."""
     conv = ConventionSet(sign_c, 1, Fraction(1))
     for g, _ in default_calibration_suite():
-        n = g.series_order
+        n = 2 * g.m + 4
         nodes = [Fraction(j, n + 1) for j in range(1, n + 1)]
         values = [
             eta_mod._adiabatic_bracket(g, conv, fractional_bracket(1 - 2 * r, n), r)

@@ -33,6 +33,21 @@ CONFIGS = {
         "geometry": {"preset": "surface", "genus": 0, "degree": 1},
         "dolbeault": {"lower_bound": "5/2", "entries": [[0, 0, "5/2", 1], [0, 1, "5/2", 1]]},
     },
+    # explicit m = 3 data with fractional roots and a declared Hodge table at
+    # k = 2, 3, so that the integer-r adiabatic path reads its correction
+    "custom3.json": {
+        "geometry": {
+            "m": 3, "top_integral": 2, "c1L": "3/2", "c1K": -1,
+            "tangent_roots": [1, "2/3", "1/3"], "label": "custom(m=3)",
+        },
+        "hodge": {
+            "type": "table",
+            "table": {
+                "0,2": 9, "1,2": 1, "2,2": 0, "3,2": 0,
+                "0,3": 30, "1,3": 0, "2,3": 2, "3,3": 0,
+            },
+        },
+    },
 }
 
 COMMANDS = {
@@ -41,6 +56,17 @@ COMMANDS = {
         "eta", "exact", "--preset", "surface", "--genus", "2", "--degree", "3",
         "--h00", "1", "--r", "7/3", "--eps", "1/7",
     ],
+    "eta_exact_projective3.json": [
+        "eta", "exact", "--preset", "projective", "--m", "3", "--r", "7/3", "--eps", "1/10",
+    ],
+    "eta_exact_projective5.json": [
+        "eta", "exact", "--preset", "projective", "--m", "5", "--degree", "2",
+        "--r", "9/4", "--eps", "1/7",
+    ],
+    "eta_exact_custom3.json": [
+        "eta", "exact", "--config", "custom3.json", "--r", "5/2", "--eps", "1/7",
+    ],
+    "eta_adiabatic_custom3.json": ["eta", "adiabatic", "--config", "custom3.json", "--r", "2"],
     "eta_asymptotic.json": [
         "eta", "asymptotic", "--preset", "surface", "--genus", "1", "--degree", "2",
         "--r", "5/3", "--eps", "1/100",

@@ -49,16 +49,6 @@ def test_series_takes_rationals_only():
         fractional_bracket(0.5, ORDER)
 
 
-def test_apply_series_composes_and_checks_its_arguments():
-    u = TruncSeries(3, [0, Fraction(2), Fraction(-1)])
-    exp_series = TruncSeries(ORDER, [Fraction(1, math.factorial(n)) for n in range(ORDER + 1)])
-    assert u.apply_series(exp_series) == u.exp()
-    with pytest.raises(UsageError):
-        (u + TruncSeries.constant(1, 3)).apply_series(exp_series)
-    with pytest.raises(UsageError):
-        TruncSeries(ORDER + 1, [0, 1]).apply_series(exp_series)
-
-
 def _convolve(xs, ys, order):
     out = [Fraction(0)] * (order + 1)
     for i, x in enumerate(xs):
