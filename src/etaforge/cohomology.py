@@ -6,9 +6,10 @@ the Chern roots of the holomorphic tangent bundle.  A cohomology class is a
 TruncSeries of order m, a polynomial in u with u^{m+1} = 0 and Fraction
 coefficients, so integration is a coefficient read-off.  Every Chern root
 is a rational multiple x·u of u, so a multiplicative class Πᵢ Q(xᵢu) is
-exp(Σₙ [log Q]ₙ·pₙ·uⁿ) with pₙ = Σᵢ xᵢⁿ the power sums of the roots: Â and td
-are built so, once per geometry.  The Euler characteristic χ(k), a polynomial
-in the twist k, is kept as its coefficient tuple, read off ch(K)·td.
+exp(Σₙ [log Q]ₙ·pₙ·uⁿ) with pₙ = Σᵢ xᵢⁿ the power sums of the roots: Â is
+built so, once per geometry.  The Euler characteristic χ(k), a polynomial
+in the twist k, is kept as its coefficient tuple, read off Â alone: with K
+the spin square root, ch(K)·td = Â (see hrr_chi), so no td class is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import UsageError
-from .scalars import TruncSeries, exp_series, universal_series
+from .scalars import TruncSeries, universal_series
 
 # largest base dimension m, an input bound: classes are series of order m or
 # m + 1 and Hodge data are read for p = 0..m; a larger m is refused before any
@@ -93,18 +94,14 @@ def integrate(g: Geometry, cls: TruncSeries) -> Fraction:
     return cls.coeffs[g.m] * g.top_integral
 
 
-def _genus(roots: Sequence[Fraction], log_q: TruncSeries, order: int) -> TruncSeries:
-    """Πᵢ Q(xᵢu) for the roots xᵢ, truncated at u^{order}: exp(Σₙ log_qₙ·pₙ·uⁿ)
-    with log_q = log Q (zero constant term) and pₙ = Σᵢ xᵢⁿ."""
-    return TruncSeries(
-        order, [0] + [log_q.coeffs[n] * sum(x**n for x in roots) for n in range(1, order + 1)]
-    ).exp()
-
-
 def ahat_series(roots: Sequence[Fraction], order: int) -> TruncSeries:
     """Â of line bundles with Chern roots roots·u, truncated at u^{order}:
-    log Q = 2·p_ahat, as p_ahat is (1/2)log of the single-root factor."""
-    return _genus(roots, universal_series("p_ahat", order).scale(2), order)
+    Πᵢ (xᵢu/2)/sinh(xᵢu/2) = exp(Σₙ 2·p_ahatₙ·pₙ·uⁿ) with pₙ = Σᵢ xᵢⁿ, as
+    p_ahat is (1/2)log of the single-root factor."""
+    p = universal_series("p_ahat", order)
+    return TruncSeries(
+        order, [0] + [2 * p.coeffs[n] * sum(x**n for x in roots) for n in range(1, order + 1)]
+    ).exp()
 
 
 @functools.lru_cache(maxsize=256)
@@ -114,21 +111,18 @@ def ahat_class(g: Geometry) -> TruncSeries:
 
 
 @functools.lru_cache(maxsize=256)
-def todd_class(g: Geometry) -> TruncSeries:
-    """td(X) of the tangent roots, built once per geometry."""
-    return _genus(g.tangent_roots, universal_series("todd", g.m).log(), g.m)
-
-
-@functools.lru_cache(maxsize=256)
 def hrr_chi(g: Geometry) -> tuple[Fraction, ...]:
     """Ascending coefficients χ_a of the Euler characteristic
     χ(k) = ∫ ch(K⊗L^k)·td(X) = Σ_a χ_a k^a, built once per geometry.
 
-    ch(L^k) = exp(k·c₁(L)·u), so χ_a = c₁(L)^a · [u^{m-a}](ch(K)·td) · ∫u^m / a!.
+    Per root, x/(1 - e^{-x}) = e^{x/2}·(x/2)/sinh(x/2), so
+    td = exp(Σᵢ xᵢu/2)·Â; Geometry enforces 2c₁(K) = -Σᵢ xᵢ, so
+    ch(K) = exp(-Σᵢ xᵢu/2) and ch(K)·td = Â.  With ch(L^k) = exp(k·c₁(L)·u),
+    χ_a = c₁(L)^a · [u^{m-a}]Â · ∫u^m / a!.
     """
-    profile = exp_series(g.m, g.c1K) * todd_class(g)
+    ahat = ahat_class(g)
     return tuple(
-        g.c1L**a * profile.coeffs[g.m - a] * g.top_integral / math.factorial(a)
+        g.c1L**a * ahat.coeffs[g.m - a] * g.top_integral / math.factorial(a)
         for a in range(g.m + 1)
     )
 

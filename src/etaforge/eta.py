@@ -26,7 +26,9 @@ Every piece is a plain rational; no formal parameter is carried.
   the integral is ([u^{m+1}]Â_ε - [u^{m+1}]Â_0) / (sign_c·c₁(L)) times ∫u^m
   (see transgression()).
 - The asymptotic expression is flow_factor · (∫₀^r χ - Σ_{k=1}^{⌊r+εm/2⌋} χ(k))
-  with χ the Riemann-Roch polynomial, kept as its coefficient tuple.
+  with χ the Riemann-Roch polynomial, kept as its coefficient tuple.  The
+  sum over k is closed by Faulhaber's formula, so its cost does not depend
+  on r.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .hodge import HodgeProvider, SurfaceHodge
 from .scalars import (
     RationalLike,
     TruncSeries,
+    bernoulli,
     exp_series,
     fractional_bracket,
     fractional_part,
@@ -209,11 +212,19 @@ def asymptotic_eta(
     r, eps = Fraction(r), Fraction(eps)
     if r < 0:
         raise UsageError("r must be nonnegative")
-    n_max = math.floor(r + eps * Fraction(g.m, 2))
-    below = sum(
-        coeff * sum(k**a for k in range(1, n_max + 1)) for a, coeff in enumerate(hrr_chi(g))
-    )
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    n = math.floor(r + eps * Fraction(g.m, 2))
+    below = sum(coeff * _power_sum(a, n) for a, coeff in enumerate(hrr_chi(g)))
     return (index_integral(g, r) - below) * conv.flow_factor
+
+
+def _power_sum(a: int, n: int) -> Fraction:
+    """Σ_{k=1}^{n} k^a for n ≥ 0 by Faulhaber's formula,
+    Σ_{j≤a} C(a+1, j)·(-1)^j·B_j·n^{a+1-j} / (a+1)."""
+    b = bernoulli(a)
+    terms = (math.comb(a + 1, j) * (-1) ** j * b[j] * n ** (a + 1 - j) for j in range(a + 1))
+    return sum(terms) / (a + 1)
 
 
 @dataclass(frozen=True)

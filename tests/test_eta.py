@@ -1,5 +1,6 @@
 """Assembled eta invariant: closed-form values, APS relation, calibration."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from etaforge.eta import (
     exact_eta,
     transgression,
 )
-from etaforge.hodge import SurfaceHodge
+from etaforge.hodge import HrrVanishingHodge, SurfaceHodge
 from etaforge.scalars import TruncSeries, fractional_bracket, universal_series
 from etaforge.spectrum import DolbeaultProvider
 from test_cohomology import _compose
@@ -111,8 +112,8 @@ def _delta_formal_transgression(g, eps, conv):
     w = conv.sign_c * g.c1L
 
     def integrand(delta):
-        omega0 = TruncSeries.constant(0, g.m)
-        omega2 = TruncSeries.constant(0, g.m)
+        omega0 = TruncSeries(g.m, [0])
+        omega2 = TruncSeries(g.m, [0])
         for root in (*g.tangent_roots, 0):
             omega0 = omega0 + _compose(p, root + delta * w, g.m).scale(2)
             omega2 = omega2 + _compose(p_deriv, root + delta * w, g.m).scale(2)
@@ -227,6 +228,27 @@ def test_exact_minus_asymptotic_constant_genus0():
         r = Fraction(num, 4)
         diff = exact_eta(g, hp, r, eps).value - asymptotic_eta(g, hp, r, eps)
         assert diff == base
+
+
+def test_power_sum_matches_the_brute_sum():
+    """Faulhaber's formula, which asymptotic_eta sums χ(k) with, against the
+    loop over k it replaces."""
+    for a in range(34):
+        brute = 0
+        for n in range(60):
+            assert eta_mod._power_sum(a, n) == brute, (a, n)
+            brute += (n + 1) ** a
+
+
+def test_asymptotic_cost_does_not_depend_on_r():
+    """A huge r fails fast: a loop over every k ≤ r would take days here."""
+    g = projective_like_geometry(3)
+    hp = HrrVanishingHodge(g, 1)
+    r = 10**12 + Fraction(2, 7)
+    start = time.perf_counter()
+    value = asymptotic_eta(g, hp, r, Fraction(1, 10))
+    assert time.perf_counter() - start < 0.1
+    assert type(value) is Fraction
 
 
 def test_validity_flag_reflects_epsilon_regime():

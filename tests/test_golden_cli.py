@@ -71,6 +71,11 @@ COMMANDS = {
         "eta", "asymptotic", "--preset", "surface", "--genus", "1", "--degree", "2",
         "--r", "5/3", "--eps", "1/100",
     ],
+    # a large r at m = 3, where the sum over k ≤ ⌊r + εm/2⌋ has 33,333 terms
+    "eta_asymptotic_projective3.json": [
+        "eta", "asymptotic", "--preset", "projective", "--m", "3", "--r", "100001/3",
+        "--eps", "1/10",
+    ],
     "eta_adiabatic.json": [
         "eta", "adiabatic", "--preset", "surface", "--genus", "0", "--degree", "2",
         "--r", "7/3", "--eps", "1/10",
