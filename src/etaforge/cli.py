@@ -4,6 +4,12 @@ Loads geometry/provider descriptions from a JSON config plus flag overrides
 (flags win), runs the computations and verification suites, and emits
 deterministic JSON (sorted keys, exact rationals as "p/q" strings) or CSV.
 
+Output is written in pieces as it is rendered, to the --out file or to
+stdout, and never held as one string: a spectrum dump keeps its records and
+makes each row as it is written, so its memory grows with the records only.
+Every input check runs before the output is opened, so a refused input
+leaves an existing --out file as it was.
+
 Exit codes: 0 ok, 1 usage, 2 unresolvable data, 3 internal inconsistency.
 """
 
@@ -16,10 +22,9 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
 from .cohomology import Geometry, projective_like_geometry, surface_geometry
 from .errors import (
@@ -197,16 +202,23 @@ def _conv_record(conv: ConventionSet) -> dict:
     }
 
 
-def _write(text: str, args: argparse.Namespace) -> None:
-    """Write to the --out file if one is given, else to stdout."""
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path` opened for writing, or stdout when no path is given.
+    A path that cannot be opened is a usage error."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        yield fh
 
 
-# a container holding no value of these types is one C-encoder call
-_NESTED = frozenset((dict, list, tuple))
+# a container holding values of these types only is one C-encoder call
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,48 +231,64 @@ def _layout(depth: int):
     return inner, "\n" + "  " * depth, encoder.encode
 
 
-def _json_text(obj, depth: int = 0) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a value
-    built from scalars, plain lists and tuples, and plain dicts with string keys.
+def _write_json(obj, write, depth: int = 0) -> None:
+    """Pass json.dumps(obj, sort_keys=True, indent=2), piece by piece, to
+    `write`, byte for byte, for a value built from scalars, lists, tuples,
+    iterators (rendered as lists) and dicts with string keys.
 
     CPython's C encoder ignores `indent`, so json.dumps would render every
-    record in pure Python.  Here each dict or list whose values are all
+    record in pure Python.  Here each dict, list or tuple whose values are all
     scalars is one C-encoder call; every other level keeps the recursive
-    layout, and empty containers stay literal.
+    layout.  An iterator is drawn one item at a time, each item written
+    before the next is drawn, so its items are never all alive at once.
     """
     is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        return json.dumps(obj)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    inner, outer, encode = _layout(depth)
-    if _NESTED.isdisjoint(map(type, obj.values() if is_dict else obj)):
-        body = encode(obj)[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(
-            json.dumps(key) + ": " + _json_text(value, depth + 1)
-            for key, value in sorted(obj.items())
-        )
+    if is_dict or isinstance(obj, (list, tuple)):
+        if obj and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+            inner, outer, encode = _layout(depth)
+            text = encode(obj)
+            write(text[0] + inner + text[1:-1] + outer + text[-1])
+            return
+    elif not isinstance(obj, Iterator):
+        write(json.dumps(obj))
+        return
+    inner, outer, _ = _layout(depth)
+    opening, closing = "{}" if is_dict else "[]"
+    if is_dict:
+        items = ((json.dumps(key) + ": ", value) for key, value in sorted(obj.items()))
     else:
-        body = ("," + inner).join([_json_text(value, depth + 1) for value in obj])
-    return ("{" if is_dict else "[") + inner + body + outer + ("}" if is_dict else "]")
+        items = (("", value) for value in obj)
+    sep = opening + inner
+    for prefix, value in items:
+        write(sep + prefix)
+        _write_json(value, write, depth + 1)
+        sep = "," + inner
+    # an empty container stays literal
+    write(opening + closing if sep[0] == opening else outer + closing)
+
+
+def _dump(obj, path: str | None) -> None:
+    """Write obj to the file at `path`, else to stdout, as json.dumps(obj,
+    sort_keys=True, indent=2) would, with a final newline."""
+    with _output(path) as out:
+        _write_json(obj, out.write)
+        out.write("\n")
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    """Write the payload under the schema tag, as json.dumps(sort_keys=True,
-    indent=2) would, with a final newline."""
-    _write(_json_text({"schema": SCHEMA, **payload}) + "\n", args)
+    """Write the payload under the schema tag to --out or stdout."""
+    _dump({"schema": SCHEMA, **payload}, args.out)
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
+def _emit_csv(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
+    """Write the rows (an iterable of dicts) as CSV to --out or stdout, one
+    row at a time."""
     import csv
-    import io
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows([row[name] for name in fieldnames] for row in rows)
-    _write(buf.getvalue(), args)
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([row[name] for name in fieldnames] for row in rows)
 
 
 def _require_rat(args: argparse.Namespace, cfg: dict, name: str) -> Fraction:
@@ -398,12 +426,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
     records = type1_eigenvalues(g, hp, r, eps, k_range)
     if provider is not None:
-        records += [
-            rec for rec in type2_records(provider, r, eps, g.m)
-            if k_range[0] <= rec.k <= k_range[1]
-        ]
+        records += type2_records(provider, r, eps, g.m, k_range)
+    # every record is built, and so every input check has run, before the
+    # output is opened; the rows are made one at a time as they are written
+    records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
     # record values are Fractions already, so str() renders them as _rat would
-    rows = [
+    rows = (
         {
             "tag": rec.tag,
             "k": rec.k,
@@ -415,8 +443,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             "mu_sq": None if rec.mu_sq is None else str(rec.mu_sq),
         }
         for rec in records
-    ]
-    rows.sort(key=lambda row: (row["k"], row["p"], row["tag"]))
+    )
     if args.format == "csv":
         _emit_csv(rows, ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"], args)
         return 0
@@ -567,10 +594,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "note": result.note,
     }
     path = args.conventions or "conventions.json"
-    Path(path).write_text(
-        _json_text({"schema": SCHEMA, **_conv_record(result.conventions)}) + "\n",
-        encoding="utf-8",
-    )
+    _dump({"schema": SCHEMA, **_conv_record(result.conventions)}, path)
     record["persisted_to"] = path
     _emit(record, args)
     return 0

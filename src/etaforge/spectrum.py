@@ -247,13 +247,21 @@ def type2_eigenvalues(
 
 
 def type2_records(
-    provider: DolbeaultProvider, r: Fraction, eps: Fraction, m: int
+    provider: DolbeaultProvider,
+    r: Fraction,
+    eps: Fraction,
+    m: int,
+    k_range: tuple[int, int],
 ) -> list[EigRecord]:
+    """The type-2 pairs of the entries with k in k_range.  Every entry's
+    alternating multiplicity is checked, so invalid data outside the range is
+    refused too; only the entries inside it reach the pair function."""
     pair = _type2_pairs(r, eps, m)
+    k_min, k_max = k_range
     records = []
     for k, p, mu_sq, _ in provider.entries:
         mult = alternating_multiplicity(provider, k, p, mu_sq)
-        if mult == 0:
+        if mult == 0 or not k_min <= k <= k_max:
             continue
         plus, minus = pair(k, p, mu_sq)
         records.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))

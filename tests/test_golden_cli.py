@@ -1,5 +1,6 @@
-"""Golden CLI outputs: stdout of a cold ``python -m etaforge.cli`` process must
-match the bytes stored in ``tests/golden/`` exactly.
+"""Golden CLI outputs: stdout of a cold ``python -m etaforge.cli`` process, and
+the file it writes through ``--out``, must match the bytes stored in
+``tests/golden/`` exactly.
 
 Each fixture ``tests/golden/<name>`` holds the stdout of ``COMMANDS[name]``,
 run from a directory that contains the config files of ``CONFIGS`` below.  Any
@@ -127,9 +128,15 @@ def run_cli(argv, cwd: Path) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_stdout_matches_golden(name, tmp_path):
+    golden = (GOLDEN / name).read_bytes()
     proc = run_cli(COMMANDS[name], tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / name).read_bytes()
+    assert proc.stdout == golden
+    # every golden command takes --out, and writes the same bytes there
+    out_file = tmp_path / "out"
+    proc = run_cli([*COMMANDS[name], "--out", str(out_file)], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"" and out_file.read_bytes() == golden
 
 
 def test_every_golden_fixture_has_a_command():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etaforge.spectrum as spectrum_mod
 from etaforge.cohomology import projective_like_geometry, surface_geometry
 from etaforge.errors import InvalidDolbeaultData, UsageError
 from etaforge.hodge import SurfaceHodge, TableHodge
@@ -174,11 +175,36 @@ def test_type2_records_drop_zero_alternating_multiplicity():
         entries=((1, 0, Fraction(3), 2), (1, 1, Fraction(3), 2)),
         lower_bound=Fraction(1),
     )
-    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1)
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (1, 1))
     # p=0: d = 2 -> one pair; p=1: d = 0 -> dropped
     assert len(recs) == 2
     assert {rec.tag for rec in recs} == {"type2plus", "type2minus"}
     assert all(rec.multiplicity == 2 for rec in recs)
+
+
+def test_type2_records_outside_the_k_range_make_no_pair_but_are_validated(monkeypatch):
+    entries = ((0, 0, Fraction(3), 1), (5, 0, Fraction(3), 2), (-5, 0, Fraction(3), 1))
+    provider = DolbeaultProvider(entries, lower_bound=Fraction(1))
+    paired = []
+    real_pairs = spectrum_mod._type2_pairs
+
+    def counting_pairs(r, eps, m):
+        pair = real_pairs(r, eps, m)
+
+        def counted(k, p, mu_sq):
+            paired.append(k)
+            return pair(k, p, mu_sq)
+
+        return counted
+
+    monkeypatch.setattr(spectrum_mod, "_type2_pairs", counting_pairs)
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (0, 4))
+    assert [(rec.k, rec.tag) for rec in recs] == [(0, "type2plus"), (0, "type2minus")]
+    assert paired == [0]
+    # d^1 = e^1 - e^0 = -2 at k = 5, outside the range: still refused
+    bad = DolbeaultProvider(entries + ((5, 1, Fraction(3), 0),), lower_bound=Fraction(1))
+    with pytest.raises(InvalidDolbeaultData):
+        type2_records(bad, Fraction(0), Fraction(1, 10), 1, (0, 4))
 
 
 def test_validate_epsilon_threshold():
@@ -264,9 +290,11 @@ def test_type1_matches_a_reference_built_through_make(m, r, eps, k_min, width, r
         ),
         max_size=25,
     ),
+    st.integers(-8, 8),
+    st.integers(0, 14),
     st.randoms(use_true_random=False),
 )
-def test_type2_records_match_a_reference_built_through_make(m, r, eps, entries, rng):
+def test_type2_records_match_a_reference_built_through_make(m, r, eps, entries, k_min, width, rng):
     # e^p >= e^{p-1} on each (k, μ²) keeps every alternating sum legal
     legal = {}
     for k, p, mu_sq, e in sorted(entries, key=lambda entry: entry[1]):
@@ -277,7 +305,7 @@ def test_type2_records_match_a_reference_built_through_make(m, r, eps, entries, 
     reference = []
     for k, p, mu_sq, _ in provider.entries:
         mult = alternating_multiplicity(provider, k, p, mu_sq)
-        if mult == 0:
+        if mult == 0 or not k_min <= k <= k_min + width:
             continue
         trace_half = Fraction((-1) ** (p + 1)) * eps / 2
         delta = (2 * k + eps * (2 * p - m + 1) - 2 * r) ** 2 + 4 * mu_sq * eps
@@ -286,7 +314,7 @@ def test_type2_records_match_a_reference_built_through_make(m, r, eps, entries, 
         assert (plus, minus) == type2_eigenvalues(k, p, mu_sq, r, eps, m)
         reference.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))
         reference.append(EigRecord(minus, mult, "type2minus", k, p, mu_sq))
-    records = type2_records(provider, r, eps, m)
+    records = type2_records(provider, r, eps, m, (k_min, k_min + width))
     assert records == reference
     assert all(_exact_fields(rec) for rec in records)
 
