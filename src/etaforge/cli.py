@@ -2,7 +2,10 @@
 
 Loads geometry/provider descriptions from a JSON config plus flag overrides
 (flags win), runs the computations and verification suites, and emits
-deterministic JSON (sorted keys, exact rationals as "p/q" strings) or CSV.
+deterministic JSON (sorted keys) or CSV.  The commands pass library values
+into their records as they are: the JSON writer renders an exact rational
+(a Fraction) as its "p/q" string, and csv.writer renders it through str(),
+which gives the same string; nothing else in this module renders one.
 
 Output is written in pieces as it is rendered, to the --out file or to
 stdout, and never held as one string: a spectrum dump keeps its records and
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import heapq
 import json
 import math
 import re
@@ -25,9 +29,11 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict
 from fractions import Fraction
+from operator import attrgetter
 
 from .cohomology import Geometry, projective_like_geometry, surface_geometry
 from .errors import (
+    CrossCheckFailed,
     EtaforgeError,
     InvalidDolbeaultData,
     ProviderConsistencyError,
@@ -63,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-def _rat(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -194,14 +196,6 @@ def _load_conventions(args: argparse.Namespace, cfg: dict) -> ConventionSet:
         return ConventionSet(**knobs, transgression_scale=scale)
 
 
-def _conv_record(conv: ConventionSet) -> dict:
-    return {
-        "sign_c": conv.sign_c,
-        "flow_factor": conv.flow_factor,
-        "transgression_scale": _rat(conv.transgression_scale),
-    }
-
-
 @contextlib.contextmanager
 def _output(path: str | None):
     """The file at `path` opened for writing, or stdout when no path is given.
@@ -218,7 +212,16 @@ def _output(path: str | None):
 
 
 # a container holding values of these types only is one C-encoder call
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+_SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
+
+
+def _exact_rational(value) -> str:
+    """The encoder's hook for values JSON has no type for: an exact rational
+    is written as its "p/q" string, and anything else (a QuadSurd, a
+    dataclass) is refused rather than written as its repr."""
+    if type(value) is Fraction:
+        return str(value)
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,14 +230,18 @@ def _layout(depth: int):
     C-encoder call that renders a container of scalars at that depth (the item
     separator carries the newline and indentation)."""
     inner = "\n" + "  " * (depth + 1)
-    encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+    encoder = json.JSONEncoder(
+        sort_keys=True, separators=("," + inner, ": "), default=_exact_rational
+    )
     return inner, "\n" + "  " * depth, encoder.encode
 
 
 def _write_json(obj, write, depth: int = 0) -> None:
     """Pass json.dumps(obj, sort_keys=True, indent=2), piece by piece, to
     `write`, byte for byte, for a value built from scalars, lists, tuples,
-    iterators (rendered as lists) and dicts with string keys.
+    iterators (rendered as lists) and dicts with string keys, where every
+    Fraction is written as its "p/q" string, as if json.dumps had
+    default=str for Fractions only.
 
     CPython's C encoder ignores `indent`, so json.dumps would render every
     record in pure Python.  Here each dict, list or tuple whose values are all
@@ -242,17 +249,16 @@ def _write_json(obj, write, depth: int = 0) -> None:
     layout.  An iterator is drawn one item at a time, each item written
     before the next is drawn, so its items are never all alive at once.
     """
+    inner, outer, encode = _layout(depth)
     is_dict = isinstance(obj, dict)
     if is_dict or isinstance(obj, (list, tuple)):
         if obj and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-            inner, outer, encode = _layout(depth)
             text = encode(obj)
             write(text[0] + inner + text[1:-1] + outer + text[-1])
             return
     elif not isinstance(obj, Iterator):
-        write(json.dumps(obj))
+        write(encode(obj))
         return
-    inner, outer, _ = _layout(depth)
     opening, closing = "{}" if is_dict else "[]"
     if is_dict:
         items = ((json.dumps(key) + ": ", value) for key, value in sorted(obj.items()))
@@ -291,21 +297,17 @@ def _emit_csv(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
         writer.writerows([row[name] for name in fieldnames] for row in rows)
 
 
-def _require_rat(args: argparse.Namespace, cfg: dict, name: str) -> Fraction:
+def _rational_param(args: argparse.Namespace, cfg: dict, name: str) -> Fraction | None:
+    """The flag or config value `name` as an exact rational, None if absent."""
     value = _merged(args, cfg, name)
+    return None if value is None else _parse_rat(str(value))
+
+
+def _require_rat(args: argparse.Namespace, cfg: dict, name: str) -> Fraction:
+    value = _rational_param(args, cfg, name)
     if value is None:
         raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
-    return _parse_rat(str(value))
-
-
-def _crossing_record(c) -> dict:
-    return {
-        "parameter_value": _rat(c.parameter_value),
-        "k": c.k,
-        "p": c.p,
-        "multiplicity": c.multiplicity,
-        "direction": c.direction,
-    }
+    return value
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
@@ -316,93 +318,37 @@ def cmd_eta(args: argparse.Namespace) -> int:
     # built in every mode, so that invalid Dolbeault data is always refused;
     # only the exact value reads it (for its validity flag)
     provider = _build_dolbeault(cfg)
+    mode = args.eta_mode
+    record = {"command": f"eta {mode}", "geometry": g.label, "conventions": asdict(conv)}
     # the adiabatic limit does not depend on eps, so that mode does not read it
-    eps = None if args.eta_mode == "adiabatic" else _require_rat(args, cfg, "eps")
-
-    if args.eta_mode == "aps-check":
+    if mode != "adiabatic":
+        record["eps"] = eps = _require_rat(args, cfg, "eps")
+    exit_code = 0
+    if mode == "aps-check":
         r0 = _require_rat(args, cfg, "r0")
         r1 = _require_rat(args, cfg, "r1")
         check = aps_difference_check(g, hp, r0, r1, eps, conv)
-        _emit(
-            {
-                "command": "eta aps-check",
-                "geometry": g.label,
-                "r0": _rat(r0),
-                "r1": _rat(r1),
-                "eps": _rat(eps),
-                "lhs": _rat(check.lhs),
-                "rhs": _rat(check.rhs),
-                "passed": check.passed,
-                "conventions": _conv_record(conv),
-            },
-            args,
-        )
-        return 0 if check.passed else 3
-
-    r = _require_rat(args, cfg, "r")
-    if args.eta_mode == "adiabatic":
-        value = adiabatic_limit(g, hp, r, conv)
-        _emit(
-            {
-                "command": "eta adiabatic",
-                "geometry": g.label,
-                "r": _rat(r),
-                "value": _rat(value),
-                "conventions": _conv_record(conv),
-            },
-            args,
-        )
-        return 0
-    if args.eta_mode == "asymptotic":
-        value = asymptotic_eta(g, hp, r, eps, conv)
-        _emit(
-            {
-                "command": "eta asymptotic",
-                "geometry": g.label,
-                "r": _rat(r),
-                "eps": _rat(eps),
-                "value": _rat(value),
-                "conventions": _conv_record(conv),
-            },
-            args,
-        )
-        return 0
-
-    # exact: also cross-check the closed-form delta flow against the oracle
-    closed = flow_in_delta_closed(g, hp, r, eps)
-    oracle = flow_in_delta_oracle(g, hp, r, eps)
-    if closed != oracle.net:
-        _emit(
-            {
-                "command": "eta exact",
-                "error": "internal inconsistency: delta-flow closed form "
-                f"{closed} != oracle {oracle.net}",
-                "geometry": g.label,
-                "r": _rat(r),
-                "eps": _rat(eps),
-            },
-            args,
-        )
-        return 3
-    result = exact_eta(g, hp, r, eps, conv, provider)
-    _emit(
-        {
-            "command": "eta exact",
-            "geometry": g.label,
-            "r": _rat(r),
-            "eps": _rat(eps),
-            "value": _rat(result.value),
-            "adiabatic_limit": _rat(result.adiabatic_limit),
-            "flow_term": _rat(result.flow_term),
-            "transgression_term": _rat(result.transgression_term),
-            "kernel_dim": result.kernel_dim,
-            "unreduced": _rat(result.unreduced),
-            "validityFlag": result.validity_flag,
-            "conventions": _conv_record(conv),
-        },
-        args,
-    )
-    return 0
+        record.update(r0=r0, r1=r1, **asdict(check))
+        exit_code = 0 if check.passed else 3
+    else:
+        record["r"] = r = _require_rat(args, cfg, "r")
+        if mode == "adiabatic":
+            record["value"] = adiabatic_limit(g, hp, r, conv)
+        elif mode == "asymptotic":
+            record["value"] = asymptotic_eta(g, hp, r, eps, conv)
+        else:
+            result = exact_eta(g, hp, r, eps, conv, provider)
+            # the flow term printed is checked against the brute-force oracle
+            oracle = flow_in_delta_oracle(g, hp, r, eps)
+            if result.flow_term != oracle.net:
+                raise CrossCheckFailed(
+                    f"delta-flow closed form {result.flow_term} != oracle {oracle.net}"
+                )
+            # asdict(result) holds conv again under "conventions"
+            record.update(asdict(result), unreduced=result.unreduced)
+            record["validityFlag"] = record.pop("validity_flag")
+    _emit(record, args)
+    return exit_code
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -412,11 +358,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     provider = _build_dolbeault(cfg)
     r = _require_rat(args, cfg, "r")
     eps = _require_rat(args, cfg, "eps")
-    k_min = _merged(args, cfg, "k_min")
-    k_max = _merged(args, cfg, "k_max")
-    if k_min is None or k_max is None:
+    k_range = (_merged(args, cfg, "k_min"), _merged(args, cfg, "k_max"))
+    if None in k_range:
         raise UsageError("spectrum requires --k-min and --k-max")
-    k_range = (int(k_min), int(k_max))
+    # a config bound is a JSON integer: a float is not truncated, and true is no 1
+    if any(type(bound) is not int for bound in k_range):
+        raise UsageError(f"spectrum k_min and k_max must be JSON integers: {k_range}")
     if k_range[0] > k_range[1]:
         raise UsageError(f"spectrum k-range is empty: --k-min {k_range[0]} > --k-max {k_range[1]}")
     if k_range[1] - k_range[0] + 1 > _MAX_SPECTRUM_K_VALUES:
@@ -424,25 +371,26 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"spectrum k-range [{k_range[0]}, {k_range[1]}] is wider than "
             f"{_MAX_SPECTRUM_K_VALUES} values"
         )
-    records = type1_eigenvalues(g, hp, r, eps, k_range)
-    if provider is not None:
-        records += type2_records(provider, r, eps, g.m, k_range)
+    type1 = type1_eigenvalues(g, hp, r, eps, k_range)
+    type2 = [] if provider is None else type2_records(provider, r, eps, g.m, k_range)
+    # type-1 records come in (k, p) order already, so only the type-2 ones
+    # are sorted before the two lists are merged
+    order = attrgetter("k", "p", "tag")
+    type2.sort(key=order)
     # every record is built, and so every input check has run, before the
     # output is opened; the rows are made one at a time as they are written
-    records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
-    # record values are Fractions already, so str() renders them as _rat would
     rows = (
         {
             "tag": rec.tag,
             "k": rec.k,
             "p": rec.p,
             "multiplicity": rec.multiplicity,
-            "a": str(rec.value.a),
-            "b": str(rec.value.b),
-            "d": str(rec.value.d),
-            "mu_sq": None if rec.mu_sq is None else str(rec.mu_sq),
+            "a": rec.value.a,
+            "b": rec.value.b,
+            "d": rec.value.d,
+            "mu_sq": rec.mu_sq,
         }
-        for rec in records
+        for rec in heapq.merge(type1, type2, key=order)
     )
     if args.format == "csv":
         _emit_csv(rows, ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"], args)
@@ -451,8 +399,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         {
             "command": "spectrum",
             "geometry": g.label,
-            "r": _rat(r),
-            "eps": _rat(eps),
+            "r": r,
+            "eps": eps,
             "records": rows,
         },
         args,
@@ -465,34 +413,31 @@ def cmd_flow(args: argparse.Namespace) -> int:
     g = _build_geometry(args, cfg)
     hp = _build_hodge(args, cfg, g)
     eps = _require_rat(args, cfg, "eps")
-    payload: dict = {"command": "flow", "geometry": g.label, "eps": _rat(eps)}
+    payload: dict = {"command": "flow", "geometry": g.label, "eps": eps}
     exit_code = 0
 
-    r_value = _merged(args, cfg, "r")
-    if r_value is not None:
-        r = _parse_rat(str(r_value))
+    r = _rational_param(args, cfg, "r")
+    if r is not None:
         closed = flow_in_delta_closed(g, hp, r, eps)
         oracle = flow_in_delta_oracle(g, hp, r, eps)
         payload["delta_flow"] = {
-            "r": _rat(r),
+            "r": r,
             "closed": closed,
             "oracle_net": oracle.net,
-            "crossings": [_crossing_record(c) for c in oracle.crossings],
+            "crossings": [asdict(c) for c in oracle.crossings],
             "agree": closed == oracle.net,
         }
         if closed != oracle.net:
             exit_code = 3
 
-    r0_value = _merged(args, cfg, "r0")
-    r1_value = _merged(args, cfg, "r1")
-    if r0_value is not None and r1_value is not None:
-        r0, r1 = _parse_rat(str(r0_value)), _parse_rat(str(r1_value))
+    r0, r1 = _rational_param(args, cfg, "r0"), _rational_param(args, cfg, "r1")
+    if r0 is not None and r1 is not None:
         result = flow_in_s_oracle(g, hp, r0, r1, eps)
         payload["s_flow"] = {
-            "r0": _rat(r0),
-            "r1": _rat(r1),
+            "r0": r0,
+            "r1": r1,
             "net": result.net,
-            "crossings": [_crossing_record(c) for c in result.crossings],
+            "crossings": [asdict(c) for c in result.crossings],
         }
 
     if "delta_flow" not in payload and "s_flow" not in payload:
@@ -572,7 +517,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
                 for name, ok in report.checks:
                     checks.append(
                         {
-                            "suite": f"trace_N{n_power}_m{m}_delta{_rat(delta)}",
+                            "suite": f"trace_N{n_power}_m{m}_delta{delta}",
                             "check": name,
                             "passed": ok,
                         }
@@ -584,19 +529,9 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate()
-    record = {
-        "command": "calibrate",
-        "conventions": _conv_record(result.conventions),
-        "t1_ok": result.t1_ok,
-        "t2_ok": result.t2_ok,
-        "t3_ok": result.t3_ok,
-        "candidates_checked": result.candidates_checked,
-        "note": result.note,
-    }
     path = args.conventions or "conventions.json"
-    _dump({"schema": SCHEMA, **_conv_record(result.conventions)}, path)
-    record["persisted_to"] = path
-    _emit(record, args)
+    _dump({"schema": SCHEMA, **asdict(result.conventions)}, path)
+    _emit({"command": "calibrate", **asdict(result), "persisted_to": path}, args)
     return 0
 
 

@@ -25,5 +25,9 @@ class InvalidDolbeaultData(EtaforgeError):
     """Dolbeault multiplicities violate the alternating-sum nonnegativity constraint."""
 
 
+class CrossCheckFailed(EtaforgeError):
+    """A closed form disagrees with the independent oracle that checks it."""
+
+
 class NoConsistentConvention(EtaforgeError):
     """Calibration found no convention set satisfying the consistency targets."""

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 import etaforge.cli as cli
 import etaforge.eta as eta_mod
 from etaforge.cli import main
+from etaforge.spectrum import QuadSurd
+
+
+_SURFACE_01 = ("--preset", "surface", "--genus", "0", "--degree", "1")
 
 
 def _run(capsys, *argv):
@@ -353,6 +357,23 @@ def test_flow_mismatch_exits_three(monkeypatch, capsys):
     assert json.loads(out)["delta_flow"]["agree"] is False
 
 
+def test_eta_exact_cross_check_failure_is_a_json_error(monkeypatch, tmp_path, capsys):
+    """A flow term that disagrees with the oracle exits 3 with a JSON error on
+    stderr; nothing is written to stdout, and an --out file is left alone."""
+    monkeypatch.setattr(eta_mod, "flow_in_delta_closed", lambda *a: 10**9)
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    code, out, err = _run(
+        capsys, "eta", "exact", *_SURFACE_01, "--r", "97/100", "--eps", "1/10",
+        "--out", str(out_file),
+    )
+    assert code == 3 and out == ""
+    record = json.loads(err)
+    assert set(record) == {"schema", "error", "detail"}
+    assert record["error"] == "CrossCheckFailed" and "1000000000" in record["detail"]
+    assert out_file.read_bytes() == b"earlier output\n"
+
+
 def test_flow_emits_both_variants(capsys):
     code, out, _ = _run(
         capsys,
@@ -498,6 +519,18 @@ def test_laplace_check_out_of_float_range_is_a_usage_error(measure_cfg, tmp_path
     assert record["error"] == "UsageError" and "float range" in record["detail"]
 
 
+@pytest.mark.parametrize("bound", ["x", 1.7, True], ids=["string", "float", "bool"])
+def test_spectrum_config_k_bounds_must_be_json_integers(bound, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k_min": bound, "k_max": 3}))
+    code, out, err = _run(
+        capsys, "spectrum", *_SURFACE_01, "--r", "1/3", "--eps", "1/10", "--config", str(config),
+    )
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "JSON integers" in record["detail"]
+
+
 def test_spectrum_refuses_swapped_k_range(capsys):
     code, out, err = _run(
         capsys,
@@ -507,9 +540,6 @@ def test_spectrum_refuses_swapped_k_range(capsys):
     assert code == 1 and out == ""
     record = json.loads(err)
     assert record["error"] == "UsageError" and "k-range is empty" in record["detail"]
-
-
-_SURFACE_01 = ("--preset", "surface", "--genus", "0", "--degree", "1")
 
 
 @pytest.mark.parametrize(
@@ -550,8 +580,9 @@ def test_refused_spectrum_input_leaves_the_out_file_alone(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_spectrum_dump_memory_grows_with_the_records_only(fmt, tmp_path):
     """A dump holds its records, not its rows or its text: the traced peak of
-    the whole command exceeds that of the records alone by less than 0.3 of
-    it (about 0.2 is the sort; a CSV text held whole adds about 0.17)."""
+    the whole command exceeds that of the records alone by less than 0.1 of
+    it (a sort key per record would add about 0.2; a CSV text held whole,
+    about 0.17)."""
     import tracemalloc
 
     from etaforge.cohomology import surface_geometry
@@ -580,7 +611,7 @@ def test_spectrum_dump_memory_grows_with_the_records_only(fmt, tmp_path):
         lambda: main([*argv, "--k-min", str(-10**4), "--k-max", str(10**4), "--out", str(out_file)])
     )
     assert out_file.stat().st_size > 0
-    assert dump - records < 0.3 * records, (dump, records)
+    assert dump - records < 0.1 * records, (dump, records)
 
 
 def test_eta_adiabatic_does_not_need_eps(capsys):
@@ -595,7 +626,7 @@ def test_eta_adiabatic_does_not_need_eps(capsys):
 
 _SCALARS = (
     st.none() | st.booleans() | st.integers(-10**20, 10**20)
-    | st.floats() | st.text(max_size=6)
+    | st.floats() | st.text(max_size=6) | st.fractions()
 )
 _PAYLOADS = st.recursive(
     _SCALARS,
@@ -622,7 +653,9 @@ def _lists_as_iterators(obj):
 @settings(max_examples=300, deadline=None)
 @given(_PAYLOADS)
 def test_json_writer_matches_json_dumps(payload):
-    expected = json.dumps(payload, sort_keys=True, indent=2)
+    """The writer renders a Fraction as str() does, and every other value as
+    json.dumps does."""
+    expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
     assert _json_text(payload) == expected
     assert _json_text(_lists_as_iterators(payload)) == expected
 
@@ -643,6 +676,11 @@ def test_json_writer_literal_cases():
     assert _json_text({"gen": (x for x in ()), "it": iter([iter([])])}) == json.dumps(
         {"gen": [], "it": [[]]}, sort_keys=True, indent=2
     )
+    # a value JSON has no type for, other than a Fraction, is refused
+    for value in (QuadSurd.make(1), object()):
+        for payload in (value, [value], {"v": value}, [1, [value]]):
+            with pytest.raises(TypeError):
+                _json_text(payload)
 
 
 def test_json_writer_draws_one_item_at_a_time():

@@ -113,6 +113,8 @@ COMMANDS = {
     ],
     "measure_check.json": ["measure", "check"],
     "identities_run.json": ["identities", "run"],
+    # writes conventions.json into the working directory as well
+    "calibrate.json": ["calibrate"],
 }
 
 
