@@ -24,6 +24,7 @@ import functools
 import heapq
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
@@ -71,24 +72,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_rat(text: str) -> Fraction:
+def _int(value, name: str) -> int:
+    """A JSON integer or integer flag as it is: no float truncated, no true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} takes JSON integers only, not {value!r}")
+    return value
+
+
+def _rat(value, name: str) -> Fraction:
+    """A flag or config value (an integer, "p/q", decimal or float) as a Fraction."""
     try:
-        return Fraction(text)
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not an exact rational: {text!r}") from exc
+        raise UsageError(f"{name} is not an exact rational: {str(value)!r}") from exc
 
 
-def _load_config(path: str | None) -> dict:
+def _param(args: argparse.Namespace, cfg: dict, key: str, read, default=None, required=False):
+    """The flag `key` if given, else its config value (null is absent), else
+    `default`, read by `read`; None when absent and not required."""
+    for value in (getattr(args, key, None), cfg.get(key), default):
+        if value is not None:
+            return read(value, key)
+    if required:
+        raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
+    return None
+
+
+def _read_json(path: str | None, what: str) -> dict:
+    """The JSON object in the file at `path`; no path reads as {}."""
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    return cfg
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    return record
 
 
 @contextlib.contextmanager
@@ -102,46 +123,35 @@ def _reading_config(block: str):
         raise UsageError(f"malformed {block} config: {exc!r}") from exc
 
 
-def _merged(args: argparse.Namespace, cfg: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
-
-
 @_reading_config("geometry")
 def _build_geometry(args: argparse.Namespace, cfg: dict) -> Geometry:
     geo_cfg = cfg.get("geometry", {})
-    preset = _merged(args, geo_cfg, "preset")
-    if preset == "surface" or (preset is None and "genus" in geo_cfg) or (
-        preset is None and getattr(args, "genus", None) is not None
-    ):
-        genus = int(_merged(args, geo_cfg, "genus", 0))
-        degree = int(_merged(args, geo_cfg, "degree", 1))
-        return surface_geometry(genus, degree)
+    preset = args.preset or geo_cfg.get("preset")
+    if preset == "surface" or (preset is None and (args.genus is not None or "genus" in geo_cfg)):
+        genus = _param(args, geo_cfg, "genus", _int, 0)
+        return surface_geometry(genus, _param(args, geo_cfg, "degree", _int, 1))
     if preset == "projective":
-        m = int(_merged(args, geo_cfg, "m", 1))
-        degree = int(_merged(args, geo_cfg, "degree", 1))
-        return projective_like_geometry(m, degree)
+        m = _param(args, geo_cfg, "m", _int, 1)
+        return projective_like_geometry(m, _param(args, geo_cfg, "degree", _int, 1))
     if preset is None and geo_cfg:
         # explicit single-generator data
         return Geometry(
-            m=int(geo_cfg["m"]),
-            top_integral=_parse_rat(str(geo_cfg["top_integral"])),
-            c1L=_parse_rat(str(geo_cfg["c1L"])),
-            c1K=_parse_rat(str(geo_cfg["c1K"])),
-            tangent_roots=tuple(_parse_rat(str(x)) for x in geo_cfg["tangent_roots"]),
+            m=_int(geo_cfg["m"], "m"),
+            top_integral=_rat(geo_cfg["top_integral"], "top_integral"),
+            c1L=_rat(geo_cfg["c1L"], "c1L"),
+            c1K=_rat(geo_cfg["c1K"], "c1K"),
+            tangent_roots=tuple(_rat(x, "tangent_roots") for x in geo_cfg["tangent_roots"]),
             label=str(geo_cfg.get("label", "")),
         )
     raise UsageError("no geometry given: use --preset or a config geometry block")
 
 
-def _parse_pk_table(raw: dict) -> dict[tuple[int, int], int]:
+def _pk_table(raw: dict) -> dict[tuple[int, int], int]:
+    """A {"p,k": value} block as {(p, k): value}; a key is text, not a JSON value."""
     table = {}
     for key, value in raw.items():
         p_str, k_str = key.split(",")
-        table[(int(p_str), int(k_str))] = int(value)
+        table[(int(p_str), int(k_str))] = _int(value, f"table value {key}")
     return table
 
 
@@ -149,21 +159,19 @@ def _parse_pk_table(raw: dict) -> dict[tuple[int, int], int]:
 def _build_hodge(args: argparse.Namespace, cfg: dict, g: Geometry) -> HodgeProvider:
     hodge_cfg = cfg.get("hodge", {})
     kind = hodge_cfg.get("type")
-    h00 = _merged(args, hodge_cfg, "h00")
+    table = _pk_table(hodge_cfg.get("table", {}))
     if kind == "table":
-        return TableHodge(g.m, _parse_pk_table(hodge_cfg.get("table", {})))
+        return TableHodge(g.m, table)
     if kind == "hrr" or (kind is None and g.m > 1):
-        k0 = int(hodge_cfg.get("k0", 1))
-        return HrrVanishingHodge(g, k0, _parse_pk_table(hodge_cfg.get("table", {})))
+        return HrrVanishingHodge(g, _int(hodge_cfg.get("k0", 1), "k0"), table)
     if g.m != 1:
         raise UsageError("no hodge provider for this geometry; add a config block")
     genus = (2 - sum(g.tangent_roots)) / 2
-    if genus.denominator != 1:
-        raise UsageError("surface hodge provider needs integer genus")
-    exceptional = _parse_pk_table(hodge_cfg.get("exceptional", {}))
-    return SurfaceHodge(
-        int(genus), int(g.c1L), None if h00 is None else int(h00), exceptional
-    )
+    if genus.denominator != 1 or g.c1L.denominator != 1:
+        raise UsageError(f"surface hodge provider needs integer genus and degree: {genus}, {g.c1L}")
+    h00 = _param(args, hodge_cfg, "h00", _int)
+    exceptional = _pk_table(hodge_cfg.get("exceptional", {}))
+    return SurfaceHodge(genus.numerator, g.c1L.numerator, h00, exceptional)
 
 
 @_reading_config("dolbeault")
@@ -172,36 +180,47 @@ def _build_dolbeault(cfg: dict) -> DolbeaultProvider | None:
     if d_cfg is None:
         return None
     entries = tuple(
-        (int(k), int(p), _parse_rat(str(mu_sq)), int(e))
+        (_int(k, "k"), _int(p, "p"), _rat(mu_sq, "mu_sq"), _int(e, "multiplicity"))
         for k, p, mu_sq, e in d_cfg.get("entries", [])
     )
-    return DolbeaultProvider(entries, _parse_rat(str(d_cfg["lower_bound"])))
+    return DolbeaultProvider(entries, _rat(d_cfg["lower_bound"], "lower_bound"))
+
+
+def _load_inputs(args: argparse.Namespace) -> tuple[dict, Geometry, HodgeProvider]:
+    """The config, the geometry and its Hodge provider of a command."""
+    cfg = _read_json(args.config, "config")
+    g = _build_geometry(args, cfg)
+    return cfg, g, _build_hodge(args, cfg, g)
 
 
 def _load_conventions(args: argparse.Namespace, cfg: dict) -> ConventionSet:
-    path = getattr(args, "conventions", None) or cfg.get("conventions")
+    path = args.conventions or cfg.get("conventions")
     if path is None:
         return DEFAULT_CONVENTIONS
+    record = _read_json(path, "conventions")
     with _reading_config("conventions"):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read conventions {path}: {exc}") from exc
-        knobs = {key: record[key] for key in ("sign_c", "flow_factor")}
         # a knob is a JSON integer: a float is not rounded, and true is no ±1
-        if any(type(value) is not int for value in knobs.values()):
-            raise ValueError(f"sign_c and flow_factor must be JSON integers: {knobs}")
-        scale = _parse_rat(str(record["transgression_scale"]))
-        return ConventionSet(**knobs, transgression_scale=scale)
+        return ConventionSet(
+            sign_c=_int(record["sign_c"], "sign_c"),
+            flow_factor=_int(record["flow_factor"], "flow_factor"),
+            transgression_scale=_rat(record["transgression_scale"], "transgression_scale"),
+        )
 
 
 @contextlib.contextmanager
 def _output(path: str | None):
     """The file at `path` opened for writing, or stdout when no path is given.
-    A path that cannot be opened is a usage error."""
+    A path that cannot be opened, or a stdout closed by its reader, is a usage
+    error."""
     if not path:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the interpreter flushes stdout again at exit: let that write go
+            # to devnull, so that the JSON error is all that is reported
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"cannot write stdout: {exc}") from exc
         return
     try:
         fh = open(path, "w", encoding="utf-8")
@@ -297,23 +316,8 @@ def _emit_csv(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
         writer.writerows([row[name] for name in fieldnames] for row in rows)
 
 
-def _rational_param(args: argparse.Namespace, cfg: dict, name: str) -> Fraction | None:
-    """The flag or config value `name` as an exact rational, None if absent."""
-    value = _merged(args, cfg, name)
-    return None if value is None else _parse_rat(str(value))
-
-
-def _require_rat(args: argparse.Namespace, cfg: dict, name: str) -> Fraction:
-    value = _rational_param(args, cfg, name)
-    if value is None:
-        raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
-    return value
-
-
 def cmd_eta(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    g = _build_geometry(args, cfg)
-    hp = _build_hodge(args, cfg, g)
+    cfg, g, hp = _load_inputs(args)
     conv = _load_conventions(args, cfg)
     # built in every mode, so that invalid Dolbeault data is always refused;
     # only the exact value reads it (for its validity flag)
@@ -322,16 +326,16 @@ def cmd_eta(args: argparse.Namespace) -> int:
     record = {"command": f"eta {mode}", "geometry": g.label, "conventions": asdict(conv)}
     # the adiabatic limit does not depend on eps, so that mode does not read it
     if mode != "adiabatic":
-        record["eps"] = eps = _require_rat(args, cfg, "eps")
+        record["eps"] = eps = _param(args, cfg, "eps", _rat, required=True)
     exit_code = 0
     if mode == "aps-check":
-        r0 = _require_rat(args, cfg, "r0")
-        r1 = _require_rat(args, cfg, "r1")
+        r0 = _param(args, cfg, "r0", _rat, required=True)
+        r1 = _param(args, cfg, "r1", _rat, required=True)
         check = aps_difference_check(g, hp, r0, r1, eps, conv)
         record.update(r0=r0, r1=r1, **asdict(check))
         exit_code = 0 if check.passed else 3
     else:
-        record["r"] = r = _require_rat(args, cfg, "r")
+        record["r"] = r = _param(args, cfg, "r", _rat, required=True)
         if mode == "adiabatic":
             record["value"] = adiabatic_limit(g, hp, r, conv)
         elif mode == "asymptotic":
@@ -352,18 +356,12 @@ def cmd_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    g = _build_geometry(args, cfg)
-    hp = _build_hodge(args, cfg, g)
+    cfg, g, hp = _load_inputs(args)
     provider = _build_dolbeault(cfg)
-    r = _require_rat(args, cfg, "r")
-    eps = _require_rat(args, cfg, "eps")
-    k_range = (_merged(args, cfg, "k_min"), _merged(args, cfg, "k_max"))
-    if None in k_range:
-        raise UsageError("spectrum requires --k-min and --k-max")
-    # a config bound is a JSON integer: a float is not truncated, and true is no 1
-    if any(type(bound) is not int for bound in k_range):
-        raise UsageError(f"spectrum k_min and k_max must be JSON integers: {k_range}")
+    r = _param(args, cfg, "r", _rat, required=True)
+    eps = _param(args, cfg, "eps", _rat, required=True)
+    with _reading_config("spectrum"):
+        k_range = tuple(_param(args, cfg, key, _int, required=True) for key in ("k_min", "k_max"))
     if k_range[0] > k_range[1]:
         raise UsageError(f"spectrum k-range is empty: --k-min {k_range[0]} > --k-max {k_range[1]}")
     if k_range[1] - k_range[0] + 1 > _MAX_SPECTRUM_K_VALUES:
@@ -409,14 +407,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    g = _build_geometry(args, cfg)
-    hp = _build_hodge(args, cfg, g)
-    eps = _require_rat(args, cfg, "eps")
+    cfg, g, hp = _load_inputs(args)
+    eps = _param(args, cfg, "eps", _rat, required=True)
     payload: dict = {"command": "flow", "geometry": g.label, "eps": eps}
     exit_code = 0
 
-    r = _rational_param(args, cfg, "r")
+    r = _param(args, cfg, "r", _rat)
     if r is not None:
         closed = flow_in_delta_closed(g, hp, r, eps)
         oracle = flow_in_delta_oracle(g, hp, r, eps)
@@ -430,7 +426,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         if closed != oracle.net:
             exit_code = 3
 
-    r0, r1 = _rational_param(args, cfg, "r0"), _rational_param(args, cfg, "r1")
+    r0, r1 = _param(args, cfg, "r0", _rat), _param(args, cfg, "r1", _rat)
     if r0 is not None and r1 is not None:
         result = flow_in_s_oracle(g, hp, r0, r1, eps)
         payload["s_flow"] = {
@@ -467,12 +463,12 @@ _DEFAULT_MEASURE_POINTS = (
 def cmd_measure(args: argparse.Namespace) -> int:
     from .measure import ModelPoint, check_lattice_size, laplace_check, near_zero_bound
 
-    cfg = _load_config(args.config)
+    cfg = _read_json(args.config, "config")
     # read and validate the whole block before any maths runs
     with _reading_config("measure"):
         m_cfg = cfg.get("measure", {})
         points = [
-            ModelPoint(int(raw["n"]), tuple(float(x) for x in raw["lambdas"]))
+            ModelPoint(_int(raw["n"], "n"), tuple(float(x) for x in raw["lambdas"]))
             for raw in m_cfg.get("points", _DEFAULT_MEASURE_POINTS)
         ]
         t_values = [float(t) for t in m_cfg.get("t", [0.5, 1.0, 2.0])]

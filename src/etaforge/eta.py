@@ -59,7 +59,7 @@ from .scalars import (
     fractional_part,
     universal_series,
 )
-from .spectrum import DolbeaultProvider, kernel_dimension, validate_epsilon
+from .spectrum import DolbeaultProvider, kernel_dimension, type1_zeros, validate_epsilon
 
 
 @dataclass(frozen=True)
@@ -246,12 +246,8 @@ def _aps_rhs(
     corrected at both endpoints.
     """
     net = flow_in_s_oracle(g, hp, r0, r1, eps).net
-    half_m = Fraction(g.m, 2)
-    for p in range(0, g.m + 1, 2):
-        for r, sign in ((r1, 1), (r0, -1)):
-            k = r - eps * (p - half_m)
-            if k.denominator == 1:
-                net += sign * hp.h(p, int(k))
+    for r, sign in ((r1, 1), (r0, -1)):
+        net += sign * sum(hp.h(p, k) for p, k in type1_zeros(g, r, eps) if p % 2 == 0)
     return Fraction(net) + index_integral(g, r1) - index_integral(g, r0)
 
 

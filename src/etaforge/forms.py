@@ -325,9 +325,6 @@ class KahlerModel:
     def vertical_index(self) -> int | None:
         return 2 * self.m if self.vertical else None
 
-    def is_horizontal(self, i: int) -> bool:
-        return i < 2 * self.m
-
     def j_matrix(self) -> Matrix:
         n = self.dim
         rows = [[0] * n for _ in range(n)]
@@ -516,12 +513,6 @@ def _complexify_endform(model: KahlerModel, form: EndForm) -> EndForm:
     return EndForm(form.degree, form.dim, m, values)
 
 
-def _to_gauss_scalar(form: ScalarForm) -> ScalarForm:
-    return ScalarForm(
-        form.degree, form.dim, {k: GaussRat.coerce(v) for k, v in form.values.items()}
-    )
-
-
 def trace_expansion_check(
     m: int, N: int, delta: Fraction, kappa: Fraction = Fraction(1)
 ) -> IdentityReport:
@@ -552,22 +543,22 @@ def trace_expansion_check(
     id_m = mat_identity(m)
     omega_id = EndForm(
         2, n, m,
-        {k: mat_scale(id_m, GaussRat.coerce(v) * two_i_delta) for k, v in omega.values.items()},
+        {k: mat_scale(id_m, v * two_i_delta) for k, v in omega.values.items()},
     )
     s_form = r10 + omega_id
 
     eps_n = 1 if N == 2 else 0
     checks = []
 
-    lhs1 = _to_gauss_scalar(total.power(N).trace())
-    rhs1 = s_form.power(N).trace().scale(GaussRat.coerce(2))
-    rhs1 = rhs1 + _to_gauss_scalar(omega.power(N)).scale(two_i_delta**N * 2)
+    lhs1 = total.power(N).trace()
+    rhs1 = s_form.power(N).trace().scale(2)
+    rhs1 = rhs1 + omega.power(N).scale(two_i_delta**N * 2)
     checks.append(("full_trace_power", lhs1 == rhs1))
 
-    lhs2 = _to_gauss_scalar(total.power(N - 1).left_mul(jm).trace())
+    lhs2 = total.power(N - 1).left_mul(jm).trace()
     rhs2 = s_form.power(N - 1).trace().scale(I * 2)
-    rhs2 = rhs2 + _to_gauss_scalar(omega.power(N - 1)).scale(two_i_delta ** (N - 1) * I * 2)
-    rhs2 = rhs2 + _to_gauss_scalar(omega).scale(GaussRat.coerce(2 * eps_n * delta))
+    rhs2 = rhs2 + omega.power(N - 1).scale(two_i_delta ** (N - 1) * I * 2)
+    rhs2 = rhs2 + omega.scale(2 * eps_n * delta)
     checks.append(("j_trace_power", lhs2 == rhs2))
 
     lhs3 = big_omega.right_mul(jm).wedge(total.power(N - 2)).trace()

@@ -284,6 +284,18 @@ def alternating_multiplicity(
     return total
 
 
+def type1_zeros(g: Geometry, r: Fraction, eps: Fraction) -> list[tuple[int, int]]:
+    """The (p, k) whose type-1 family is zero at r: for each p, the one
+    k = r − ε(p − m/2), when that k is an integer."""
+    half_m = Fraction(g.m, 2)
+    zeros = []
+    for p in range(g.m + 1):
+        k = r - eps * (p - half_m)
+        if k.denominator == 1:
+            zeros.append((p, k.numerator))
+    return zeros
+
+
 def kernel_dimension(
     g: Geometry, hp: HodgeProvider, r: Fraction, eps: Fraction
 ) -> int:
@@ -291,15 +303,7 @@ def kernel_dimension(
     vanish in the ε/8 < M validity regime)."""
     if eps <= 0:
         raise UsageError("eps must be positive")
-    half_m = Fraction(g.m, 2)
-    lo = math.floor(r - eps * half_m) - 1
-    hi = math.ceil(r + eps * half_m) + 1
-    total = 0
-    for k in range(lo, hi + 1):
-        for p in range(g.m + 1):
-            if k + eps * (p - half_m) == r:
-                total += hp.h(p, k)
-    return total
+    return sum(hp.h(p, k) for p, k in type1_zeros(g, r, eps))
 
 
 def validate_epsilon(eps: Fraction, provider: DolbeaultProvider) -> bool:

@@ -1,6 +1,9 @@
 """Command-line front end: values, exit codes, determinism, config plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -288,22 +291,59 @@ def test_trivial_line_bundle_is_refused(tmp_path, capsys):
         ({"geometry": {"preset": "surface", "genus": "x"}}, "geometry"),
         ({"dolbeault": {"lower_bound": "1", "entries": [[0, 0]]}}, "dolbeault"),
         ({"hodge": {"type": "table", "table": {"0;1": 1}}}, "hodge"),
+        # an integer field takes a JSON integer: a float is not truncated, and
+        # true is no 1
+        ({"geometry": {"preset": "surface", "genus": 0.9}}, "geometry"),
+        ({"geometry": {"preset": "surface", "genus": 0, "degree": True}}, "geometry"),
+        ({"hodge": {"h00": 1.5}}, "hodge"),
+        ({"geometry": {"preset": "projective", "m": 2.7}}, "geometry"),
+        ({"geometry": {"preset": "projective", "m": 3}, "hodge": {"type": "hrr", "k0": 1.5}},
+         "hodge"),
+        ({"hodge": {"type": "table", "table": {"0,1": 1.9}}}, "hodge"),
+        ({"dolbeault": {"lower_bound": "1/2", "entries": [[0.7, 0, "1/2", 1], [0, 1, "1/2", 1]]}},
+         "dolbeault"),
+        ({"dolbeault": {"lower_bound": "1/2", "entries": [[0, 0, "1/2", 1.9], [0, 1, "1/2", 1]]}},
+         "dolbeault"),
     ],
-    ids=["genus", "dolbeault_entry", "table_key"],
+    ids=[
+        "genus", "dolbeault_entry", "table_key", "float_genus", "bool_degree", "float_h00",
+        "float_m", "float_k0", "float_table_value", "float_dolbeault_k",
+        "float_dolbeault_multiplicity",
+    ],
 )
 def test_malformed_config_block_is_a_usage_error(tmp_path, capsys, config, block):
     """A malformed value in the geometry, hodge or dolbeault block is a JSON
     usage error with exit 1, not a traceback."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    # a config without a geometry block is read on the surface preset
+    preset = () if "geometry" in config else ("--preset", "surface")
     code, out, err = _run(
-        capsys, "eta", "exact", "--config", str(cfg), "--preset", "surface",
-        "--r", "1/3", "--eps", "1/10",
+        capsys, "eta", "exact", "--config", str(cfg), *preset, "--r", "1/3", "--eps", "1/10",
     )
     assert code == 1 and out == ""
     record = json.loads(err)
     assert record["error"] == "UsageError"
     assert record["detail"].startswith(f"malformed {block} config")
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"tangent_roots": ["3/2"], "c1K": "-3/4", "c1L": "1"},
+        {"tangent_roots": ["2"], "c1K": "-1", "c1L": "3/2"},
+    ],
+    ids=["genus", "degree"],
+)
+def test_surface_hodge_needs_integer_genus_and_degree(geometry, tmp_path, capsys):
+    """Explicit m = 1 data with a half-integer genus or c1(L) gets no surface
+    Hodge numbers, rather than those of a truncated genus or degree."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {"m": 1, "top_integral": "1", **geometry}}))
+    code, out, err = _run(capsys, "eta", "exact", "--config", str(cfg), "--r", "1/3", "--eps", "1/10")
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "integer genus" in record["detail"]
 
 
 def test_base_dimension_above_the_cap_is_refused(capsys):
@@ -482,6 +522,8 @@ def test_measure_check_defaults(capsys):
         {"points": [{"n": 3, "lambdas": [1.0]}, {"n": 5, "lambdas": [0.001, 0.001]}]},
         # Γ(n_y + 1/2) overflows a float
         {"points": [{"n": 601, "lambdas": []}]},
+        # n is a JSON integer, not truncated to 3
+        {"points": [{"n": 3.9, "lambdas": [1.0]}]},
     ],
 )
 def test_hostile_measure_config_fails_before_any_maths(measure_cfg, tmp_path, monkeypatch, capsys):
@@ -558,6 +600,27 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
     assert code == 1 and out == ""
     record = json.loads(err)
     assert record["error"] == "UsageError" and "cannot write" in record["detail"]
+
+
+def test_closed_stdout_is_a_usage_error():
+    """A reader that closes stdout early, as `| head -c 50` does, gets a JSON
+    usage error with exit 1 on stderr and no traceback."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etaforge.cli", "spectrum", *_SURFACE_01, "--r", "1/3",
+         "--eps", "1/10", "--k-min", "-3000", "--k-max", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    # the dump (about 2 MB) is far larger than a pipe buffer
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and "cannot write stdout" in record["detail"]
 
 
 def test_refused_spectrum_input_leaves_the_out_file_alone(tmp_path, capsys):

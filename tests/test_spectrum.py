@@ -21,6 +21,7 @@ from etaforge.spectrum import (
     finite_eta_partial,
     kernel_dimension,
     type1_eigenvalues,
+    type1_zeros,
     type2_eigenvalues,
     type2_records,
     validate_epsilon,
@@ -225,7 +226,12 @@ def test_type1_enumeration_and_kernel():
     recs = type1_eigenvalues(g, hp, r, eps, (-3, 3))
     zero = [rec for rec in recs if rec.value.sign() == 0]
     assert len(zero) == 1 and zero[0].k == 2 and zero[0].p == 0
+    assert type1_zeros(g, r, eps) == [(0, 2)]
     assert kernel_dimension(g, hp, r, eps) == 2  # h^{0,2} = 2
+    # at eps = 1 every family of CP^3-like data vanishes at r = 1/2 + integer
+    assert type1_zeros(projective_like_geometry(3, 1), Fraction(1, 2), Fraction(1)) == [
+        (0, 2), (1, 1), (2, 0), (3, -1)
+    ]
     assert kernel_dimension(g, hp, Fraction(1, 3), eps) == 0
 
 
