@@ -9,7 +9,8 @@ which gives the same string; nothing else in this module renders one.
 
 Output is written in pieces as it is rendered, to the --out file or to
 stdout, and never held as one string: a spectrum dump keeps its records and
-makes each row as it is written, so its memory grows with the records only.
+makes its rows as they are written, at most _RUN (64) rows ahead of the
+output, so its memory grows with the records only.
 Every input check runs before the output is opened, so a refused input
 leaves an existing --out file as it was.
 
@@ -197,6 +198,9 @@ def _load_conventions(args: argparse.Namespace, cfg: dict) -> ConventionSet:
     path = args.conventions or cfg.get("conventions")
     if path is None:
         return DEFAULT_CONVENTIONS
+    if type(path) is not str:
+        # open() would take an integer as a file descriptor: 0 is stdin
+        raise UsageError(f"conventions takes a file path, not {path!r}")
     record = _read_json(path, "conventions")
     with _reading_config("conventions"):
         # a knob is a JSON integer: a float is not rounded, and true is no ±1
@@ -247,12 +251,54 @@ def _exact_rational(value) -> str:
 def _layout(depth: int):
     """Indentation around the items of a container `depth` levels deep, and a
     C-encoder call that renders a container of scalars at that depth (the item
-    separator carries the newline and indentation)."""
+    separator carries the newline and indentation).  The encoder is given
+    scalars, containers of scalars and lists of those only, and the hook
+    returns strings, so no value it sees can hold itself: it skips the
+    circular-reference bookkeeping."""
     inner = "\n" + "  " * (depth + 1)
     encoder = json.JSONEncoder(
-        sort_keys=True, separators=("," + inner, ": "), default=_exact_rational
+        sort_keys=True, separators=("," + inner, ": "), default=_exact_rational,
+        check_circular=False,
     )
     return inner, "\n" + "  " * depth, encoder.encode
+
+
+# the most items of a list or iterator drawn and not yet written: a run of
+# flat dicts (non-empty, with scalar values only) is rendered by one C-encoder
+# call of at most this many dicts
+_RUN = 64
+
+
+def _runs(values):
+    """The items of a list in order, as (run, None) for each run of at most
+    _RUN flat dicts and (None, value) for any other item.  A run is yielded as
+    soon as it is full or the next item is not a flat dict."""
+    run = []
+    for value in values:
+        if type(value) is dict and value and _SCALARS.issuperset(map(type, value.values())):
+            run.append(value)
+            if len(run) == _RUN:
+                yield run, None
+                run = []
+            continue
+        if run:
+            yield run, None
+            run = []
+        yield None, value
+    if run:
+        yield run, None
+
+
+def _render_run(run: list, depth: int) -> str:
+    """Flat dicts `depth` levels deep, rendered as consecutive items of their
+    list.  One C-encoder call renders the whole run with the dicts' item
+    separator, also between the dicts; that one is then replaced by the
+    list's.  "}" + separator + "{" occurs nowhere else, because the separator
+    holds a newline and JSON escapes every newline inside a string."""
+    inner, outer, encode = _layout(depth)
+    text = encode(run)
+    between = text[2:-2].replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
+    return "{" + inner + between + outer + "}"
 
 
 def _write_json(obj, write, depth: int = 0) -> None:
@@ -264,9 +310,11 @@ def _write_json(obj, write, depth: int = 0) -> None:
 
     CPython's C encoder ignores `indent`, so json.dumps would render every
     record in pure Python.  Here each dict, list or tuple whose values are all
-    scalars is one C-encoder call; every other level keeps the recursive
-    layout.  An iterator is drawn one item at a time, each item written
-    before the next is drawn, so its items are never all alive at once.
+    scalars is one C-encoder call, and so is each run of up to _RUN flat
+    dicts in a list; every other level keeps the recursive layout.  An
+    iterator is drawn as it is written: at most _RUN of its items have been
+    drawn and not yet written at any time, so its items are never all alive
+    at once.
     """
     inner, outer, encode = _layout(depth)
     is_dict = isinstance(obj, dict)
@@ -279,15 +327,20 @@ def _write_json(obj, write, depth: int = 0) -> None:
         write(encode(obj))
         return
     opening, closing = "{}" if is_dict else "[]"
-    if is_dict:
-        items = ((json.dumps(key) + ": ", value) for key, value in sorted(obj.items()))
-    else:
-        items = (("", value) for value in obj)
     sep = opening + inner
-    for prefix, value in items:
-        write(sep + prefix)
-        _write_json(value, write, depth + 1)
-        sep = "," + inner
+    if is_dict:
+        for key, value in sorted(obj.items()):
+            write(sep + json.dumps(key) + ": ")
+            _write_json(value, write, depth + 1)
+            sep = "," + inner
+    else:
+        for run, value in _runs(obj):
+            if run is None:
+                write(sep)
+                _write_json(value, write, depth + 1)
+            else:
+                write(sep + _render_run(run, depth + 1))
+            sep = "," + inner
     # an empty container stays literal
     write(opening + closing if sep[0] == opening else outer + closing)
 
@@ -305,15 +358,15 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     _dump({"schema": SCHEMA, **payload}, args.out)
 
 
-def _emit_csv(rows, fieldnames: list[str], args: argparse.Namespace) -> None:
-    """Write the rows (an iterable of dicts) as CSV to --out or stdout, one
-    row at a time."""
+def _emit_csv(rows, header: list[str], args: argparse.Namespace) -> None:
+    """Write the header and the rows (an iterable of sequences in the
+    header's order) as CSV to --out or stdout, as they are drawn."""
     import csv
 
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows([row[name] for name in fieldnames] for row in rows)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
@@ -376,7 +429,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     order = attrgetter("k", "p", "tag")
     type2.sort(key=order)
     # every record is built, and so every input check has run, before the
-    # output is opened; the rows are made one at a time as they are written
+    # output is opened; the rows are made as they are written
+    records = heapq.merge(type1, type2, key=order)
+    if args.format == "csv":
+        _emit_csv(
+            (
+                (rec.tag, rec.k, rec.p, rec.multiplicity, rec.value.a, rec.value.b, rec.value.d, rec.mu_sq)
+                for rec in records
+            ),
+            ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"],
+            args,
+        )
+        return 0
     rows = (
         {
             "tag": rec.tag,
@@ -388,11 +452,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             "d": rec.value.d,
             "mu_sq": rec.mu_sq,
         }
-        for rec in heapq.merge(type1, type2, key=order)
+        for rec in records
     )
-    if args.format == "csv":
-        _emit_csv(rows, ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"], args)
-        return 0
     _emit(
         {
             "command": "spectrum",
@@ -439,15 +500,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if "delta_flow" not in payload and "s_flow" not in payload:
         raise UsageError("flow requires --r (delta flow) or --r0/--r1 (s flow)")
     if args.format == "csv":
-        rows = []
-        for variant in ("delta_flow", "s_flow"):
-            for c in payload.get(variant, {}).get("crossings", []):
-                rows.append({"variant": variant, **c})
-        _emit_csv(
-            rows,
-            ["variant", "parameter_value", "k", "p", "multiplicity", "direction"],
-            args,
-        )
+        header = ["variant", "parameter_value", "k", "p", "multiplicity", "direction"]
+        rows = [
+            [variant, *(c[name] for name in header[1:])]
+            for variant in ("delta_flow", "s_flow")
+            for c in payload.get(variant, {}).get("crossings", [])
+        ]
+        _emit_csv(rows, header, args)
         return exit_code
     _emit(payload, args)
     return exit_code

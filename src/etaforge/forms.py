@@ -186,10 +186,11 @@ class ScalarForm:
                     out[key] = out.get(key, 0) + sign * a * b
         return ScalarForm(self.degree + other.degree, self.dim, out)
 
-    def power(self, n: int) -> "ScalarForm":
-        out = ScalarForm(0, self.dim, {(): 1})
+    def powers(self, n: int) -> list["ScalarForm"]:
+        """[self^0, self^1, ..., self^n], each one wedge from the one before."""
+        out = [ScalarForm(0, self.dim, {(): 1})]
         for _ in range(n):
-            out = out.wedge(self)
+            out.append(out[-1].wedge(self))
         return out
 
     def is_zero(self) -> bool:
@@ -282,10 +283,11 @@ class EndForm:
         out = {key: tuple(map(tuple, rows)) for key, rows in acc.items()}
         return EndForm(self.degree + other.degree, self.dim, size, out)
 
-    def power(self, n: int) -> "EndForm":
-        out = EndForm(0, self.dim, self.size, {(): mat_identity(self.size)})
+    def powers(self, n: int) -> list["EndForm"]:
+        """[self^0, self^1, ..., self^n], each one wedge from the one before."""
+        out = [EndForm(0, self.dim, self.size, {(): mat_identity(self.size)})]
         for _ in range(n):
-            out = out.wedge(self)
+            out.append(out[-1].wedge(self))
         return out
 
     def trace(self) -> ScalarForm:
@@ -431,20 +433,19 @@ def identity_suite(model: KahlerModel, kappa: Fraction = Fraction(1)) -> Identit
     t = build_tensors(model)
     big_omega, jm, omega = t["Omega"], t["J"], t["omega"]
     curv = constant_curvature_block(model, kappa)
+    omega_j = big_omega.right_mul(jm)
     checks = [
         ("omega_wedge_omega", big_omega.wedge(big_omega).is_zero()),
         ("omega_wedge_R", big_omega.wedge(curv).is_zero()),
         ("R_wedge_omega", curv.wedge(big_omega).is_zero()),
         ("R_wedge_alpha1", curv.wedge(t["alpha1"]).is_zero()),
-        (
-            "alpha1_wedge_alpha2",
-            t["alpha1"].wedge(t["alpha2"]) == big_omega.right_mul(jm).scale(-1),
-        ),
+        ("alpha1_wedge_alpha2", t["alpha1"].wedge(t["alpha2"]) == omega_j.scale(-1)),
     ]
-    omega_j = big_omega.right_mul(jm)
+    omega_j_powers = omega_j.powers(model.m)
+    omega_powers = omega.powers(model.m)
     for k in range(1, model.m + 1):
-        lhs = omega_j.power(k).trace()
-        rhs = omega.power(k).scale(-(2**k))
+        lhs = omega_j_powers[k].trace()
+        rhs = omega_powers[k].scale(-(2**k))
         checks.append((f"trace_omega_j_power_{k}", lhs == rhs))
     return IdentityReport(tuple(checks))
 
@@ -549,19 +550,21 @@ def trace_expansion_check(
 
     eps_n = 1 if N == 2 else 0
     checks = []
+    # the identities need powers N - 2, N - 1 and N of the same forms
+    total_pow, s_pow, omega_pow = total.powers(N), s_form.powers(N), omega.powers(N)
 
-    lhs1 = total.power(N).trace()
-    rhs1 = s_form.power(N).trace().scale(2)
-    rhs1 = rhs1 + omega.power(N).scale(two_i_delta**N * 2)
+    lhs1 = total_pow[N].trace()
+    rhs1 = s_pow[N].trace().scale(2)
+    rhs1 = rhs1 + omega_pow[N].scale(two_i_delta**N * 2)
     checks.append(("full_trace_power", lhs1 == rhs1))
 
-    lhs2 = total.power(N - 1).left_mul(jm).trace()
-    rhs2 = s_form.power(N - 1).trace().scale(I * 2)
-    rhs2 = rhs2 + omega.power(N - 1).scale(two_i_delta ** (N - 1) * I * 2)
+    lhs2 = total_pow[N - 1].left_mul(jm).trace()
+    rhs2 = s_pow[N - 1].trace().scale(I * 2)
+    rhs2 = rhs2 + omega_pow[N - 1].scale(two_i_delta ** (N - 1) * I * 2)
     rhs2 = rhs2 + omega.scale(2 * eps_n * delta)
     checks.append(("j_trace_power", lhs2 == rhs2))
 
-    lhs3 = big_omega.right_mul(jm).wedge(total.power(N - 2)).trace()
+    lhs3 = big_omega.right_mul(jm).wedge(total_pow[N - 2]).trace()
     if eps_n:
         ok3 = lhs3 == omega.scale(Fraction(-2))
     else:

@@ -188,15 +188,21 @@ def type1_eigenvalues(
     if eps <= 0:
         raise UsageError("eps must be positive")
     # per family p: λ = offset_p + sign_p·k with offset_p = (-1)^p (ε(p - m/2) - r)
+    # = num_p/den_p in lowest terms; then λ = (num_p + sign_p·den_p·k)/den_p is
+    # in lowest terms too, since adding a multiple of den_p keeps the gcd 1
     half_m = Fraction(g.m, 2)
-    families = [(p, (-1) ** p, (-1) ** p * (eps * (p - half_m) - r)) for p in range(g.m + 1)]
+    families = []
+    for p in range(g.m + 1):
+        sign = (-1) ** p
+        offset = sign * (eps * (p - half_m) - r)
+        families.append((p, offset.numerator, sign * offset.denominator, offset.denominator))
     records = []
     for k in range(k_range[0], k_range[1] + 1):
-        for p, sign, offset in families:
+        for p, num, signed_den, den in families:
             mult = hp.h(p, k)
             if mult == 0:
                 continue
-            value = QuadSurd(offset + sign * k, _ZERO, _ZERO)
+            value = QuadSurd(Fraction(num + signed_den * k, den), _ZERO, _ZERO)
             records.append(EigRecord(value, mult, "type1", k, p))
     return records
 
@@ -208,19 +214,24 @@ def _type2_pairs(
 
     The pair is t_p ± sqrt(δ)/2 with δ = (2k + c_p)² + 4εμ², where the trace
     half t_p = (-1)^{p+1}ε/2 and c_p = ε(2p - m + 1) - 2r are computed once
-    per p; δ is tested for an exact square root once per pair.
+    per p.  With c_p = u/v, ε = e/f and μ² = s/t, δ is built in integers over
+    the one denominator v²·f·t and normalised once, then tested for an exact
+    square root once per pair.
     """
     if eps <= 0:
         raise UsageError("mu_sq and eps must be positive")
-    four_eps = 4 * eps
-    families: dict[int, tuple[Fraction, Fraction]] = {}
+    four_e, f = 4 * eps.numerator, eps.denominator
+    families: dict[int, tuple[Fraction, int, int, int]] = {}
 
     def pair(k: int, p: int, mu_sq: Fraction) -> tuple[QuadSurd, QuadSurd]:
         if p not in families:
-            families[p] = ((eps if p % 2 else -eps) * _HALF, eps * (2 * p - m + 1) - 2 * r)
-        trace_half, shift = families[p]
-        x = 2 * k + shift
-        delta = x * x + four_eps * mu_sq
+            shift = eps * (2 * p - m + 1) - 2 * r
+            v = shift.denominator
+            families[p] = ((eps if p % 2 else -eps) * _HALF, shift.numerator, 2 * v, v * v)
+        trace_half, u, two_v, v_sq = families[p]
+        s, t = mu_sq.numerator, mu_sq.denominator
+        x = two_v * k + u
+        delta = Fraction(x * x * f * t + four_e * s * v_sq, v_sq * f * t)
         root = _sqrt_exact(delta)
         if root is None:
             return QuadSurd(trace_half, _HALF, delta), QuadSurd(trace_half, -_HALF, delta)
@@ -272,11 +283,11 @@ def type2_records(
 def alternating_multiplicity(
     provider: DolbeaultProvider, k: int, p: int, mu_sq: Fraction
 ) -> int:
-    """d^{p} = e^{p} - e^{p-1} + ... ± e^{0}; negative values mean the
-    provider is not a legal Dolbeault spectrum."""
+    """d^{p} = e^{p} - e^{p-1} + ... ± e^{0}, as d^{q} = e^{q} - d^{q-1};
+    negative values mean the provider is not a legal Dolbeault spectrum."""
     total = 0
     for q in range(p + 1):
-        total += (-1) ** (p - q) * provider.e(k, q, mu_sq)
+        total = provider.e(k, q, mu_sq) - total
     if total < 0:
         raise InvalidDolbeaultData(
             f"alternating multiplicity {total} < 0 at (k={k}, p={p}, mu_sq={mu_sq})"

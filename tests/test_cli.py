@@ -470,6 +470,38 @@ def test_malformed_conventions_file_is_a_usage_error(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "UsageError"
 
 
+def test_non_string_conventions_path_is_refused_before_anything_is_opened(tmp_path):
+    """A config "conventions" value that is not a string is a JSON usage
+    error: open() would take 0 as stdin (and close it), 1 as stdout."""
+    root = Path(__file__).resolve().parents[1]
+    configs = []
+    for i, value in enumerate([0, 1, True, [str(tmp_path)]]):
+        configs.append(tmp_path / f"cfg{i}.json")
+        configs[-1].write_text(json.dumps({"conventions": value}))
+    # each config in turn, in one process, then stdin is checked
+    child = (
+        "import json, os, sys\n"
+        "from etaforge.cli import main\n"
+        "codes = [main(['eta', 'exact', '--preset', 'surface', '--r', '0', '--eps', '1/10',\n"
+        "               '--config', config]) for config in sys.argv[1:]]\n"
+        "os.fstat(0)\n"
+        "print(json.dumps({'codes': codes, 'stdin': sys.stdin.read()}))\n"
+    )
+    conventions = json.dumps(_GOOD_CONVENTIONS)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *map(str, configs)], input=conventions,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    # every value refused with exit 1, and stdin still open and unread
+    assert result == {"codes": [1, 1, 1, 1], "stdin": conventions}
+    errors = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [e["error"] for e in errors] == ["UsageError"] * 4
+    assert all("conventions takes a file path" in e["detail"] for e in errors)
+
+
 def test_spectrum_csv_contains_surd_components(capsys):
     code, out, _ = _run(
         capsys,
@@ -677,6 +709,65 @@ def test_spectrum_dump_memory_grows_with_the_records_only(fmt, tmp_path):
     assert dump - records < 0.1 * records, (dump, records)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_dump_is_byte_identical_to_a_reference_from_the_records(fmt, tmp_path):
+    """A 3,001-k surface dump with 1,600 Dolbeault entries equals json.dumps
+    or csv.writer applied to the library's records, sorted by (k, p, tag)."""
+    import csv
+    import io
+    import random
+
+    from etaforge.cohomology import surface_geometry
+    from etaforge.hodge import SurfaceHodge
+    from etaforge.spectrum import DolbeaultProvider, type1_eigenvalues, type2_records
+
+    rng = random.Random(16)
+    r, eps, lower = Fraction(-7, 6), Fraction(1, 10), Fraction(1, 40)
+    multiplicities = {}
+    while len(multiplicities) < 800:
+        mu_sq = lower + Fraction(rng.randint(0, 4000), rng.choice((7, 11, 13, 28)))
+        multiplicities[(rng.randint(-1600, 1600), mu_sq)] = rng.randint(0, 3)
+    # e^1 = e^0 keeps every alternating sum legal; the entries outside the
+    # k-range are checked but not paired
+    entries = [(k, p, mu_sq, e) for (k, mu_sq), e in multiplicities.items() for p in (0, 1)]
+    rng.shuffle(entries)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dolbeault": {
+        "lower_bound": str(lower), "entries": [[k, p, str(mu_sq), e] for k, p, mu_sq, e in entries],
+    }}))
+    out_file = tmp_path / f"out.{fmt}"
+    assert main([
+        "spectrum", "--preset", "surface", "--genus", "2", "--degree", "3", "--h00", "1",
+        "--r", str(r), "--eps", str(eps), "--k-min", "-1500", "--k-max", "1500",
+        "--config", str(config), "--format", fmt, "--out", str(out_file),
+    ]) == 0
+
+    g = surface_geometry(2, 3)
+    provider = DolbeaultProvider(tuple(entries), lower)
+    records = (type1_eigenvalues(g, SurfaceHodge(2, 3, 1), r, eps, (-1500, 1500))
+               + type2_records(provider, r, eps, 1, (-1500, 1500)))
+    records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
+    assert len(records) > 4000 and any(rec.value.b for rec in records)
+    rows = [
+        {"tag": rec.tag, "k": rec.k, "p": rec.p, "multiplicity": rec.multiplicity,
+         "a": rec.value.a, "b": rec.value.b, "d": rec.value.d, "mu_sq": rec.mu_sq}
+        for rec in records
+    ]
+    if fmt == "json":
+        expected = json.dumps(
+            {"schema": "etaforge/1", "command": "spectrum", "geometry": g.label,
+             "r": r, "eps": eps, "records": rows},
+            sort_keys=True, indent=2, default=str,
+        ) + "\n"
+    else:
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        expected = text.getvalue()
+    assert out_file.read_text(encoding="utf-8") == expected
+
+
 def test_eta_adiabatic_does_not_need_eps(capsys):
     code, out, _ = _run(
         capsys, "eta", "adiabatic", "--preset", "surface", "--genus", "0", "--degree", "2",
@@ -744,6 +835,46 @@ def test_json_writer_literal_cases():
         for payload in (value, [value], {"v": value}, [1, [value]]):
             with pytest.raises(TypeError):
                 _json_text(payload)
+
+
+_B = cli._RUN
+
+
+def _flat(i: int) -> dict:
+    return {"i": i, "half": Fraction(i, 2), "s": f"}},\n{{{i}", "x": None, "y": 1.5, "t": True}
+
+
+@pytest.mark.parametrize("length", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_json_writer_renders_runs_of_flat_dicts(length):
+    """Runs of flat dicts around the run size, alone and between nested
+    items, empty dicts and scalars, from lists and from iterators."""
+    run = [_flat(i) for i in range(length)]
+    payloads = [
+        run,
+        {"records": run},
+        [{"nested": [1]}, *run, {}, *run, 7, [_flat(-1)], *run, {"deep": {"a": 1}}],
+        [run, {"rows": run}, *run],
+    ]
+    for payload in payloads:
+        expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
+        assert _json_text(payload) == expected
+        assert _json_text(_lists_as_iterators(payload)) == expected
+
+
+def test_json_writer_leaves_at_most_a_run_of_items_unwritten():
+    """No more than _RUN drawn items are ever waiting to be written."""
+    pieces = []
+    drawn = 0
+
+    def rows():
+        nonlocal drawn
+        for i in range(5 * _B + 3):
+            drawn += 1
+            assert drawn <= "".join(pieces).count('"i": ') + _B
+            yield {"i": i, "v": Fraction(1, i + 1)} if i % (2 * _B + 1) else {"i": i, "v": [i]}
+
+    cli._write_json({"records": rows()}, pieces.append)
+    assert drawn == 5 * _B + 3
 
 
 def test_json_writer_draws_one_item_at_a_time():

@@ -250,8 +250,8 @@ def test_omega_j_trace_powers_full_dimension():
     model = KahlerModel(3)
     t = build_tensors(model)
     omega_j = t["Omega"].right_mul(t["J"])
-    lhs = omega_j.power(3).trace()
-    rhs = t["omega"].power(3).scale(Fraction(-8))
+    lhs = omega_j.powers(3)[3].trace()
+    rhs = t["omega"].powers(3)[3].scale(Fraction(-8))
     assert lhs == rhs
 
 
@@ -310,7 +310,7 @@ def test_wedge_above_the_dimension_is_zero():
     assert (top.degree, top.dim) == (4, 3) and top.is_zero()
     omega = t["omega"]
     assert omega.wedge(omega).wedge(omega).is_zero()
-    assert omega.power(3) == ScalarForm(6, 3, {})
+    assert omega.powers(3)[3] == ScalarForm(6, 3, {})
 
 
 def test_wedge_whose_terms_cancel_is_zero():
@@ -400,3 +400,44 @@ def test_integer_tensors_match_fraction_references(m):
     # the bracket stays an integer: entries are κ/4 times an integer, or the int 0
     for x in (x for mat in block.values.values() for x in _entries(mat)):
         assert (x / (kappa / 4)).denominator == 1 if x else type(x) is int
+
+
+def _counted(method, key: str, counts: dict):
+    def counted(self, *args):
+        counts[key] += 1
+        return method(self, *args)
+
+    return counted
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """Calls of the form operations that the suites build powers with."""
+    counts = {}
+    for cls, name in ((EndForm, "wedge"), (ScalarForm, "wedge"), (EndForm, "right_mul")):
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+        monkeypatch.setattr(cls, name, _counted(getattr(cls, name), key, counts))
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_power", [2, 4, 6])
+def test_trace_expansion_builds_each_power_once(form_calls, m, n_power):
+    """Powers N - 2, N - 1 and N of A and of S come from N wedges each, one
+    more per power, plus the one wedge of ΩJ against A^(N-2); ω's powers
+    take N wedges."""
+    report = trace_expansion_check(m, n_power, Fraction(1, 3))
+    assert report.passed
+    assert form_calls == {
+        "EndForm.wedge": 2 * n_power + 1, "ScalarForm.wedge": n_power, "EndForm.right_mul": 1,
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_identity_suite_builds_each_power_once(form_calls, m):
+    """Five wedges for the nilpotency and α₁∧α₂ checks, then (ΩJ)^k and ω^k
+    for k = 1..m each one wedge from the power before; ΩJ is built once."""
+    report = identity_suite(KahlerModel(m))
+    assert report.passed
+    assert form_calls == {"EndForm.wedge": 5 + m, "ScalarForm.wedge": m, "EndForm.right_mul": 1}
