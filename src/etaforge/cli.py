@@ -3,14 +3,14 @@
 Loads geometry/provider descriptions from a JSON config plus flag overrides
 (flags win), runs the computations and verification suites, and emits
 deterministic JSON (sorted keys) or CSV.  The commands pass library values
-into their records as they are: the JSON writer renders an exact rational
-(a Fraction) as its "p/q" string, and csv.writer renders it through str(),
-which gives the same string; nothing else in this module renders one.
+into their records as they are, and an exact rational (a Fraction) is
+written as its str(), the "p/q" string: by the JSON writer (inside quotes),
+by the CSV row template, and by the JSON row template of a spectrum dump.
 
 Output is written in pieces as it is rendered, to the --out file or to
 stdout, and never held as one string: a spectrum dump keeps its records and
-makes its rows as they are written, at most _RUN (64) rows ahead of the
-output, so its memory grows with the records only.
+renders each row, through one template per format, as it writes it, so its
+memory grows with the records only.
 Every input check runs before the output is opened, so a refused input
 leaves an existing --out file as it was.
 
@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
 from fractions import Fraction
 from operator import attrgetter
@@ -81,9 +81,17 @@ def _int(value, name: str) -> int:
 
 
 def _rat(value, name: str) -> Fraction:
-    """A flag or config value (an integer, "p/q", decimal or float) as a Fraction."""
+    """A flag or config value (an integer, "p/q", decimal or float) as a
+    Fraction.  Plain ASCII "n" and "n/d" (an optional minus sign, digits only)
+    are read with int(), which skips the regular expression of Fraction(str);
+    any other text goes to Fraction(str), which gives the same value."""
     try:
-        return Fraction(str(value))
+        text = str(value)
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{name} is not an exact rational: {str(value)!r}") from exc
 
@@ -263,42 +271,30 @@ def _layout(depth: int):
     return inner, "\n" + "  " * depth, encoder.encode
 
 
-# the most items of a list or iterator drawn and not yet written: a run of
-# flat dicts (non-empty, with scalar values only) is rendered by one C-encoder
-# call of at most this many dicts
-_RUN = 64
+class _Rows:
+    """A list of flat dicts with the same keys, each given as the tuple of its
+    values in sorted-key order and written through one template
+    (_row_template).  Under a key in `quoted` the str() of a value is written
+    inside quotes, so it must need no JSON escaping (a "p/q" rational, a
+    tag); under any other key it is written as it is, so it must be JSON text
+    already (an int, null, a quoted rational).  A plain class: a dataclass
+    would add about a millisecond to every cold start."""
+
+    __slots__ = ("keys", "quoted", "rows")
+
+    def __init__(self, keys: tuple[str, ...], quoted: frozenset[str], rows: Iterable[tuple]):
+        self.keys, self.quoted, self.rows = keys, quoted, rows
 
 
-def _runs(values):
-    """The items of a list in order, as (run, None) for each run of at most
-    _RUN flat dicts and (None, value) for any other item.  A run is yielded as
-    soon as it is full or the next item is not a flat dict."""
-    run = []
-    for value in values:
-        if type(value) is dict and value and _SCALARS.issuperset(map(type, value.values())):
-            run.append(value)
-            if len(run) == _RUN:
-                yield run, None
-                run = []
-            continue
-        if run:
-            yield run, None
-            run = []
-        yield None, value
-    if run:
-        yield run, None
-
-
-def _render_run(run: list, depth: int) -> str:
-    """Flat dicts `depth` levels deep, rendered as consecutive items of their
-    list.  One C-encoder call renders the whole run with the dicts' item
-    separator, also between the dicts; that one is then replaced by the
-    list's.  "}" + separator + "{" occurs nowhere else, because the separator
-    holds a newline and JSON escapes every newline inside a string."""
-    inner, outer, encode = _layout(depth)
-    text = encode(run)
-    between = text[2:-2].replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
-    return "{" + inner + between + outer + "}"
+def _row_template(keys: tuple[str, ...], quoted: frozenset[str], depth: int) -> str:
+    """The %-template of one _Rows dict `depth` levels deep, laid out as
+    json.dumps(sort_keys=True, indent=2) lays it out."""
+    inner, outer, _ = _layout(depth)
+    items = ("," + inner).join(
+        json.dumps(key).replace("%", "%%") + (': "%s"' if key in quoted else ": %s")
+        for key in sorted(keys)
+    )
+    return "{" + inner + items + outer + "}"
 
 
 def _write_json(obj, write, depth: int = 0) -> None:
@@ -306,24 +302,24 @@ def _write_json(obj, write, depth: int = 0) -> None:
     `write`, byte for byte, for a value built from scalars, lists, tuples,
     iterators (rendered as lists) and dicts with string keys, where every
     Fraction is written as its "p/q" string, as if json.dumps had
-    default=str for Fractions only.
+    default=str for Fractions only; a _Rows is written as the list of its
+    dicts.
 
     CPython's C encoder ignores `indent`, so json.dumps would render every
     record in pure Python.  Here each dict, list or tuple whose values are all
-    scalars is one C-encoder call, and so is each run of up to _RUN flat
-    dicts in a list; every other level keeps the recursive layout.  An
-    iterator is drawn as it is written: at most _RUN of its items have been
-    drawn and not yet written at any time, so its items are never all alive
-    at once.
+    scalars is one C-encoder call, each dict of a _Rows is one %-format of its
+    template, and every other level keeps the recursive layout.  An iterator
+    (or the rows of a _Rows) is drawn one item at a time, each item written
+    before the next is drawn, so its items are never all alive at once.
     """
     inner, outer, encode = _layout(depth)
-    is_dict = isinstance(obj, dict)
+    is_dict, is_rows = isinstance(obj, dict), type(obj) is _Rows
     if is_dict or isinstance(obj, (list, tuple)):
         if obj and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
             text = encode(obj)
             write(text[0] + inner + text[1:-1] + outer + text[-1])
             return
-    elif not isinstance(obj, Iterator):
+    elif not (is_rows or isinstance(obj, Iterator)):
         write(encode(obj))
         return
     opening, closing = "{}" if is_dict else "[]"
@@ -333,13 +329,15 @@ def _write_json(obj, write, depth: int = 0) -> None:
             write(sep + json.dumps(key) + ": ")
             _write_json(value, write, depth + 1)
             sep = "," + inner
+    elif is_rows:
+        template = _row_template(obj.keys, obj.quoted, depth + 1)
+        for row in obj.rows:
+            write(sep + template % row)
+            sep = "," + inner
     else:
-        for run, value in _runs(obj):
-            if run is None:
-                write(sep)
-                _write_json(value, write, depth + 1)
-            else:
-                write(sep + _render_run(run, depth + 1))
+        for value in obj:
+            write(sep)
+            _write_json(value, write, depth + 1)
             sep = "," + inner
     # an empty container stays literal
     write(opening + closing if sep[0] == opening else outer + closing)
@@ -358,15 +356,17 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     _dump({"schema": SCHEMA, **payload}, args.out)
 
 
-def _emit_csv(rows, header: list[str], args: argparse.Namespace) -> None:
-    """Write the header and the rows (an iterable of sequences in the
-    header's order) as CSV to --out or stdout, as they are drawn."""
-    import csv
-
+def _emit_csv(rows, header: Sequence[str], args: argparse.Namespace) -> None:
+    """Write the header and the rows (an iterable of tuples in the header's
+    order) as CSV to --out or stdout, as they are drawn, through one row
+    template.  The str() of every value is written as it is, as csv.writer
+    writes it when it needs no quoting: the rows hold numbers and fixed words
+    only, and "" for an empty field."""
+    template = ",".join(["%s"] * len(header)) + "\n"
     with _output(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(template % row)
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
@@ -408,6 +408,12 @@ def cmd_eta(args: argparse.Namespace) -> int:
     return exit_code
 
 
+# the fields of a spectrum row, in CSV column order; in JSON the tag and the
+# rationals a, b, d are strings, and mu_sq is a string or null
+_SPECTRUM_KEYS = ("tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq")
+_SPECTRUM_QUOTED = frozenset(("tag", "a", "b", "d"))
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg, g, hp = _load_inputs(args)
     provider = _build_dolbeault(cfg)
@@ -432,26 +438,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # output is opened; the rows are made as they are written
     records = heapq.merge(type1, type2, key=order)
     if args.format == "csv":
-        _emit_csv(
-            (
-                (rec.tag, rec.k, rec.p, rec.multiplicity, rec.value.a, rec.value.b, rec.value.d, rec.mu_sq)
-                for rec in records
-            ),
-            ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"],
-            args,
+        rows = (
+            (rec.tag, rec.k, rec.p, rec.multiplicity, rec.value.a, rec.value.b, rec.value.d,
+             "" if rec.mu_sq is None else rec.mu_sq)
+            for rec in records
         )
+        _emit_csv(rows, _SPECTRUM_KEYS, args)
         return 0
+    # in sorted-key order, as _Rows takes them
     rows = (
-        {
-            "tag": rec.tag,
-            "k": rec.k,
-            "p": rec.p,
-            "multiplicity": rec.multiplicity,
-            "a": rec.value.a,
-            "b": rec.value.b,
-            "d": rec.value.d,
-            "mu_sq": rec.mu_sq,
-        }
+        (rec.value.a, rec.value.b, rec.value.d, rec.k,
+         "null" if rec.mu_sq is None else '"%s"' % rec.mu_sq, rec.multiplicity, rec.p, rec.tag)
         for rec in records
     )
     _emit(
@@ -460,7 +457,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             "geometry": g.label,
             "r": r,
             "eps": eps,
-            "records": rows,
+            "records": _Rows(_SPECTRUM_KEYS, _SPECTRUM_QUOTED, rows),
         },
         args,
     )
@@ -502,7 +499,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if args.format == "csv":
         header = ["variant", "parameter_value", "k", "p", "multiplicity", "direction"]
         rows = [
-            [variant, *(c[name] for name in header[1:])]
+            (variant, *(c[name] for name in header[1:]))
             for variant in ("delta_flow", "s_flow")
             for c in payload.get(variant, {}).get("crossings", [])
         ]
@@ -611,38 +608,39 @@ _FLAGS = {
 _INPUT_FLAGS = "preset genus degree m h00 config"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
-    """Each subcommand takes exactly the flags it reads; any other is an error."""
+    """Each subcommand takes exactly the flags it reads; any other is an error.
+    Built once per process: parsing leaves the parser as it was, and the
+    parser holds no command function (main looks cmd_<command> up per call)."""
     parser = _Parser(prog="etaforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, mode, func, flags in (
+    for name, help_text, mode, flags in (
         ("eta", "eta invariant computations",
          ("eta_mode", ("exact", "asymptotic", "adiabatic", "aps-check")),
-         cmd_eta, f"{_INPUT_FLAGS} r eps r0 r1 conventions out"),
+         f"{_INPUT_FLAGS} r eps r0 r1 conventions out"),
         ("spectrum", "dump eigenvalue records", None,
-         cmd_spectrum, f"{_INPUT_FLAGS} r eps k-min k-max format out"),
+         f"{_INPUT_FLAGS} r eps k-min k-max format out"),
         ("flow", "spectral flow, closed form and oracle", None,
-         cmd_flow, f"{_INPUT_FLAGS} r eps r0 r1 format out"),
-        ("measure", "spectral measure checks", ("measure_mode", ("check",)),
-         cmd_measure, "config out"),
-        ("identities", "tensor identity suites", ("identities_mode", ("run",)),
-         cmd_identities, "out"),
-        ("calibrate", "fix the convention knobs", None, cmd_calibrate, "conventions out"),
+         f"{_INPUT_FLAGS} r eps r0 r1 format out"),
+        ("measure", "spectral measure checks", ("measure_mode", ("check",)), "config out"),
+        ("identities", "tensor identity suites", ("identities_mode", ("run",)), "out"),
+        ("calibrate", "fix the convention knobs", None, "conventions out"),
     ):
         sub_parser = sub.add_parser(name, help=help_text)
         if mode is not None:
             sub_parser.add_argument(mode[0], choices=mode[1])
         for flag in flags.split():
             sub_parser.add_argument(f"--{flag}", **_FLAGS[flag])
-        sub_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # looked up per call, so that a command replaced after the parser was
+        # built (a test double, a tracing wrapper) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except EtaforgeError as exc:
         sys.stderr.write(
             json.dumps(

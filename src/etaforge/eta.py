@@ -25,7 +25,7 @@ Every piece is a plain rational; no formal parameter is carried.
   roots shifted by δw plus the root δw, and d/dδ exp(Ω₀) = w·Ω₂·exp(Ω₀), so
   the integral is ([u^{m+1}]Â_ε - [u^{m+1}]Â_0) / (sign_c·c₁(L)) times ∫u^m
   (see transgression()).
-- The asymptotic expression is flow_factor · (∫₀^r χ - Σ_{k=1}^{⌊r+εm/2⌋} χ(k))
+- The asymptotic expression is flow_factor · (∫₀^r χ - Σ_{k=1}^{⌈r+εm/2⌉-1} χ(k))
   with χ the Riemann-Roch polynomial, kept as its coefficient tuple.  The
   sum over k is closed by Faulhaber's formula, so its cost does not depend
   on r.
@@ -214,7 +214,8 @@ def asymptotic_eta(
         raise UsageError("r must be nonnegative")
     if eps <= 0:
         raise UsageError("eps must be positive")
-    n = math.floor(r + eps * Fraction(g.m, 2))
+    # k < r + εm/2: at a type-1 zero mode r = k - εm/2, χ(k) is not counted yet
+    n = math.ceil(r + eps * Fraction(g.m, 2)) - 1
     below = sum(coeff * _power_sum(a, n) for a, coeff in enumerate(hrr_chi(g)))
     return (index_integral(g, r) - below) * conv.flow_factor
 

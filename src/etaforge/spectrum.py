@@ -59,7 +59,7 @@ def _surd_sign(a: Fraction, b: Fraction, d: Fraction) -> int:
     return sa if cmp > 0 else sb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadSurd:
     """Exact value a + b·sqrt(d) with rational a, b and d >= 0.
 
@@ -131,7 +131,7 @@ class QuadSurd:
         return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigRecord:
     value: QuadSurd
     multiplicity: int
@@ -152,7 +152,7 @@ class DolbeaultProvider:
 
     Lookups go through an index of the entries keyed by (k, p) and μ² as
     numerator and denominator (which skips hashing a Fraction), built once;
-    when a key repeats, its first entry is the one returned.
+    when a key repeats, its first entry is the one the index keeps.
     """
 
     entries: tuple[tuple[int, int, Fraction, int], ...]
@@ -161,20 +161,24 @@ class DolbeaultProvider:
     def __post_init__(self) -> None:
         if self.lower_bound <= 0:
             raise UsageError("lower bound M must be positive")
-        index: dict[tuple[int, int, int, int], int] = {}
-        for k, p, mu_sq, e in self.entries:
-            # M > 0, so one comparison catches a nonpositive μ² as well
-            if mu_sq < self.lower_bound:
-                if mu_sq <= 0:
+        m_num, m_den = self.lower_bound.numerator, self.lower_bound.denominator
+        index: dict[tuple[int, int, int, int], tuple[int, int, Fraction, int]] = {}
+        for entry in self.entries:
+            k, p, mu_sq, e = entry
+            s, t = mu_sq.numerator, mu_sq.denominator
+            # μ² < M compared in integers; M > 0, so this catches μ² <= 0 too
+            if s * m_den < m_num * t:
+                if s <= 0:
                     raise UsageError("Dolbeault eigenvalue data must be positive")
                 raise UsageError("declared lower bound exceeds a stored eigenvalue")
             if e < 0:
                 raise UsageError("multiplicities must be nonnegative")
-            index.setdefault((k, p, mu_sq.numerator, mu_sq.denominator), e)
+            index.setdefault((k, p, s, t), entry)
         object.__setattr__(self, "_index", index)
 
     def e(self, k: int, p: int, mu_sq: Fraction) -> int:
-        return self._index.get((k, p, mu_sq.numerator, mu_sq.denominator), 0)
+        entry = self._index.get((k, p, mu_sq.numerator, mu_sq.denominator))
+        return 0 if entry is None else entry[3]
 
 
 def type1_eigenvalues(
@@ -264,13 +268,16 @@ def type2_records(
     m: int,
     k_range: tuple[int, int],
 ) -> list[EigRecord]:
-    """The type-2 pairs of the entries with k in k_range.  Every entry's
-    alternating multiplicity is checked, so invalid data outside the range is
-    refused too; only the entries inside it reach the pair function."""
+    """The type-2 pairs of the keys (k, p, μ²) with k in k_range, one pair per
+    key, in the order of their first entries (a repeated key is paired once,
+    with the multiplicity its first entry gives).  Every key's alternating
+    multiplicity is checked, so invalid data outside the range is refused
+    too; only the keys inside it reach the pair function."""
     pair = _type2_pairs(r, eps, m)
     k_min, k_max = k_range
     records = []
-    for k, p, mu_sq, _ in provider.entries:
+    # the index holds the first entry of each key, in entry order
+    for k, p, mu_sq, _ in provider._index.values():
         mult = alternating_multiplicity(provider, k, p, mu_sq)
         if mult == 0 or not k_min <= k <= k_max:
             continue

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import etaforge.cli as cli
 import etaforge.eta as eta_mod
 from etaforge.cli import main
+from etaforge.errors import UsageError
 from etaforge.spectrum import QuadSurd
 
 
@@ -245,6 +246,19 @@ def test_subcommands_take_only_the_flags_they_read():
         "calibrate": ["--conventions", "--out"],
     }
     assert sum(len(v) for v in flags.values()) == 41
+
+
+def test_parser_is_built_once_and_runs_the_command_of_the_moment(monkeypatch, capsys):
+    """The cached parser keeps no command function: a command replaced after
+    the first call (as a tracing wrapper does) is the one main runs."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["flow", *_SURFACE_01, "--r", "1/3", "--eps", "1/10"]
+    assert main(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_flow", lambda args: calls.append(args.command) or 7)
+    assert main(argv) == 7
+    assert calls == ["flow"]
+    capsys.readouterr()
 
 
 def test_zero_dimensional_geometry_is_refused(tmp_path, capsys):
@@ -837,17 +851,14 @@ def test_json_writer_literal_cases():
                 _json_text(payload)
 
 
-_B = cli._RUN
-
-
 def _flat(i: int) -> dict:
     return {"i": i, "half": Fraction(i, 2), "s": f"}},\n{{{i}", "x": None, "y": 1.5, "t": True}
 
 
-@pytest.mark.parametrize("length", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 129])
 def test_json_writer_renders_runs_of_flat_dicts(length):
-    """Runs of flat dicts around the run size, alone and between nested
-    items, empty dicts and scalars, from lists and from iterators."""
+    """Runs of flat dicts, alone and between nested items, empty dicts and
+    scalars, from lists and from iterators."""
     run = [_flat(i) for i in range(length)]
     payloads = [
         run,
@@ -861,22 +872,6 @@ def test_json_writer_renders_runs_of_flat_dicts(length):
         assert _json_text(_lists_as_iterators(payload)) == expected
 
 
-def test_json_writer_leaves_at_most_a_run_of_items_unwritten():
-    """No more than _RUN drawn items are ever waiting to be written."""
-    pieces = []
-    drawn = 0
-
-    def rows():
-        nonlocal drawn
-        for i in range(5 * _B + 3):
-            drawn += 1
-            assert drawn <= "".join(pieces).count('"i": ') + _B
-            yield {"i": i, "v": Fraction(1, i + 1)} if i % (2 * _B + 1) else {"i": i, "v": [i]}
-
-    cli._write_json({"records": rows()}, pieces.append)
-    assert drawn == 5 * _B + 3
-
-
 def test_json_writer_draws_one_item_at_a_time():
     pieces = []
     drawn = 0
@@ -887,11 +882,159 @@ def test_json_writer_draws_one_item_at_a_time():
             drawn += 1
             # every item drawn before this one is written already
             assert drawn <= "".join(pieces).count('"i": ') + 1
-            yield {"i": i, "nested": [i, {"j": i}]}
+            yield {"i": i, "v": Fraction(1, i + 1)} if i % 3 else {"i": i, "nested": [i, {"j": i}]}
 
     cli._write_json({"command": "x", "records": rows()}, pieces.append)
     assert drawn == 50
     assert "".join(pieces) == json.dumps(
-        {"command": "x", "records": [{"i": i, "nested": [i, {"j": i}]} for i in range(50)]},
-        sort_keys=True, indent=2,
+        {"command": "x", "records": [
+            {"i": i, "v": Fraction(1, i + 1)} if i % 3 else {"i": i, "nested": [i, {"j": i}]}
+            for i in range(50)
+        ]},
+        sort_keys=True, indent=2, default=str,
     )
+
+
+_RAT_TEXTS = [
+    "3", "-3", "0", "-0", "007/020", "1/3", "-22/7", "+3", " 3", "3 ", "1_000", "--3", "-",
+    "3/-4", "3/+4", "1/0", "0/0", "1 / 2", "1/", "/2", "1/2/3", "", "1.5", "-.5", "1e3",
+    "2.5E-1", "٣", "١٢/٣", "3/٤", "²",
+    # past int()'s default 4,300-digit limit, where Fraction(str) refuses them too
+    "1" * 5000, "-" + "7" * 5000 + "/3", "3/" + "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", _RAT_TEXTS, ids=range(len(_RAT_TEXTS)))
+def test_rat_reads_what_fraction_reads(text):
+    _assert_rat_is_fraction(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.text(alphabet="0123456789-+/ _.١٣", max_size=10)
+    | st.fractions().map(str)
+    | st.integers().map(str)
+)
+def test_rat_reads_random_text_as_fraction_does(text):
+    _assert_rat_is_fraction(text)
+
+
+def _assert_rat_is_fraction(text):
+    """cli._rat gives Fraction(text), or a UsageError exactly where
+    Fraction(text) raises."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(UsageError):
+            cli._rat(text, "x")
+    else:
+        value = cli._rat(text, "x")
+        assert type(value) is Fraction and value == expected
+
+
+def test_json_writer_renders_rows_through_one_template():
+    keys, quoted = ("tag", "n", "q", "x"), frozenset(("tag", "q"))
+    dicts = [
+        {"tag": "t1", "n": -4, "q": Fraction(-7, 3), "x": None},
+        {"tag": "t2", "n": 0, "q": Fraction(5), "x": "1/2"},
+    ]
+
+    def rows(items):
+        return cli._Rows(keys, quoted, (
+            (d["n"], d["q"], d["tag"], "null" if d["x"] is None else f'"{d["x"]}"') for d in items
+        ))
+
+    for items in (dicts, dicts[:1], []):
+        for payload in ({"records": rows(items), "a": 1}, [rows(items), [rows(items)]]):
+            expected = json.dumps(_plain(payload, items), sort_keys=True, indent=2, default=str)
+            assert _json_text(payload) == expected
+
+
+def _plain(payload, items):
+    """The payload with each _Rows replaced by the dicts it stands for."""
+    if isinstance(payload, dict):
+        return {key: _plain(value, items) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_plain(value, items) for value in payload]
+    return items if isinstance(payload, cli._Rows) else payload
+
+
+_TEMPLATE_CASES = {
+    # p = 0 values k - ε/2 - r = k - 3 are integers, written "n" (not "n/1"),
+    # and negative for k < 3
+    "integer_values": ([*_SURFACE_01, "--r", "59/20", "--eps", "1/10"], None),
+    # m = 2, with type-2 pairs for p = 0, 1 and 2; the μ² 3 (a JSON integer) and "4" are integers
+    "m2": (["--preset", "projective", "--m", "2", "--r", "2/3", "--eps", "1/5"], {
+        "hodge": {"type": "table",
+                  "table": {f"{p},{k}": (p + k) % 3 for p in range(3) for k in range(-3, 4)}},
+        "dolbeault": {"lower_bound": "1/5", "entries": [
+            [0, 0, 3, 1], [0, 1, 3, 2], [0, 2, 3, 4], [1, 0, "4", 2], [-2, 1, "7/3", 1],
+        ]},
+    }),
+    # δ = 4εμ² at r = 0, k = 0, p = 0: a perfect square for μ² = 5/2 (δ = 1)
+    # and μ² = 10 (δ = 4), so those pairs are rational
+    "rational_pairs": ([*_SURFACE_01, "--r", "0", "--eps", "1/10"], {
+        "dolbeault": {"lower_bound": "1/2", "entries": [
+            [0, 0, "5/2", 1], [0, 0, "10", 2], [1, 0, "7/9", 3], [-3, 0, "2", 1],
+        ]},
+    }),
+    "no_type2": (["--preset", "surface", "--genus", "2", "--degree", "3", "--h00", "1",
+                  "--r", "7/5", "--eps", "1/8"], {"dolbeault": {"lower_bound": "1", "entries": []}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TEMPLATE_CASES))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_rows_match_json_dumps_and_csv_writer(case, fmt, tmp_path):
+    """The row templates write what json.dumps(sort_keys=True, indent=2) and
+    csv.writer write for the same records."""
+    import csv
+    import io
+
+    from etaforge.spectrum import type1_eigenvalues, type2_records
+
+    flags, config = _TEMPLATE_CASES[case]
+    argv = ["spectrum", *flags, "--k-min", "-3", "--k-max", "3"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out_file = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out_file)]) == 0
+
+    args = cli.build_parser().parse_args(argv)
+    cfg, g, hp = cli._load_inputs(args)
+    r, eps = Fraction(args.r), Fraction(args.eps)
+    provider = cli._build_dolbeault(cfg)
+    records = type1_eigenvalues(g, hp, r, eps, (-3, 3))
+    if provider is not None:
+        records += type2_records(provider, r, eps, g.m, (-3, 3))
+    records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
+    assert records
+    header = ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"]
+    rows = [
+        [rec.tag, rec.k, rec.p, rec.multiplicity, rec.value.a, rec.value.b, rec.value.d, rec.mu_sq]
+        for rec in records
+    ]
+    if fmt == "json":
+        expected = json.dumps(
+            {"schema": "etaforge/1", "command": "spectrum", "geometry": g.label, "r": r, "eps": eps,
+             "records": [dict(zip(header, row)) for row in rows]},
+            sort_keys=True, indent=2, default=str,
+        ) + "\n"
+    else:
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        expected = text.getvalue()
+    assert out_file.read_text(encoding="utf-8") == expected
+    values = [rec.value for rec in records]
+    if case == "integer_values":
+        assert any(v.a.denominator == 1 and v.a < 0 for v in values)
+    if case == "rational_pairs":
+        assert any(rec.tag != "type1" and rec.value.b == 0 for rec in records)
+    if case == "m2":
+        assert {rec.p for rec in records if rec.tag != "type1"} == {0, 1, 2}
+        assert any(rec.mu_sq is not None and rec.mu_sq.denominator == 1 for rec in records)
+    if case == "no_type2":
+        assert all(rec.tag == "type1" for rec in records)

@@ -230,6 +230,25 @@ def test_exact_minus_asymptotic_constant_genus0():
         assert diff == base
 
 
+@pytest.mark.parametrize("genus, degree, h00", [(0, 1, None), (0, 3, None), (1, 2, 0), (2, 3, 0)])
+def test_exact_minus_asymptotic_constant_at_kernel_points(genus, degree, h00):
+    """At a type-1 zero mode r = k ∓ εm/2 the asymptotic sum has not counted
+    χ(k) yet, so the remainder is the same constant as between kernel points
+    (on S³ at ε = 1/7 the sum to ⌊r + εm/2⌋ was off by 2 at r = 27/14 and by
+    500 at r = 6999/14)."""
+    g, hp = surface_geometry(genus, degree), SurfaceHodge(genus, degree, h00)
+    eps = Fraction(1, 7)
+
+    def remainder(r):
+        return exact_eta(g, hp, r, eps).value - asymptotic_eta(g, hp, r, eps)
+
+    base = remainder(Fraction(1, 3))
+    for k in [*range(13), 500]:
+        for r in (k - eps / 2, k + eps / 2):
+            if r >= 0:
+                assert remainder(r) == base, r
+
+
 def test_power_sum_matches_the_brute_sum():
     """Faulhaber's formula, which asymptotic_eta sums χ(k) with, against the
     loop over k it replaces."""

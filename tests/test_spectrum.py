@@ -183,6 +183,24 @@ def test_type2_records_drop_zero_alternating_multiplicity():
     assert all(rec.multiplicity == 2 for rec in recs)
 
 
+def test_type2_records_pair_a_repeated_key_once():
+    """A repeated (k, p, μ²) is one key: it gets one pair, with the
+    multiplicity of its first entry, in the order of the first entries."""
+    provider = DolbeaultProvider(
+        entries=(
+            (0, 0, Fraction(1), 1),
+            (2, 0, Fraction(3), 2),
+            (0, 0, Fraction(1), 2),
+            (2, 0, Fraction(3), 5),
+        ),
+        lower_bound=Fraction(1),
+    )
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (0, 2))
+    assert [(rec.k, rec.tag, rec.multiplicity) for rec in recs] == [
+        (0, "type2plus", 1), (0, "type2minus", 1), (2, "type2plus", 2), (2, "type2minus", 2),
+    ]
+
+
 def test_type2_records_outside_the_k_range_make_no_pair_but_are_validated(monkeypatch):
     entries = ((0, 0, Fraction(3), 1), (5, 0, Fraction(3), 2), (-5, 0, Fraction(3), 1))
     provider = DolbeaultProvider(entries, lower_bound=Fraction(1))
