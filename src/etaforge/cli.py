@@ -4,13 +4,14 @@ Loads geometry/provider descriptions from a JSON config plus flag overrides
 (flags win), runs the computations and verification suites, and emits
 deterministic JSON (sorted keys) or CSV.  The commands pass library values
 into their records as they are, and an exact rational (a Fraction) is
-written as its str(), the "p/q" string: by the JSON writer (inside quotes),
-by the CSV row template, and by the JSON row template of a spectrum dump.
+written as its str(), the "p/q" string: by json.dumps (inside quotes) and by
+the row templates of a spectrum dump.
 
-Output is written in pieces as it is rendered, to the --out file or to
-stdout, and never held as one string: a spectrum dump keeps its records and
-renders each row, through one template per format, as it writes it, so its
-memory grows with the records only.
+Every JSON payload is one json.dumps call, written to the --out file or to
+stdout.  A spectrum dump, the one output that grows with its input, is never
+held as one string: it keeps its records and renders each row, through one
+template per format, as it writes it, so its memory grows with the records
+only.
 Every input check runs before the output is opened, so a refused input
 leaves an existing --out file as it was.
 
@@ -28,7 +29,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from fractions import Fraction
 from operator import attrgetter
@@ -114,7 +115,9 @@ def _read_json(path: str | None, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON, text that is not UTF-8 and an
+        # integer past the interpreter's int-string digit limit
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(record, dict):
         raise UsageError(f"{what} must be a JSON object")
@@ -242,10 +245,6 @@ def _output(path: str | None):
         yield fh
 
 
-# a container holding values of these types only is one C-encoder call
-_SCALARS = frozenset((str, int, float, bool, type(None), Fraction))
-
-
 def _exact_rational(value) -> str:
     """The encoder's hook for values JSON has no type for: an exact rational
     is written as its "p/q" string, and anything else (a QuadSurd, a
@@ -255,115 +254,40 @@ def _exact_rational(value) -> str:
     raise TypeError(f"cannot write a {type(value).__name__} as JSON")
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(depth: int):
-    """Indentation around the items of a container `depth` levels deep, and a
-    C-encoder call that renders a container of scalars at that depth (the item
-    separator carries the newline and indentation).  The encoder is given
-    scalars, containers of scalars and lists of those only, and the hook
-    returns strings, so no value it sees can hold itself: it skips the
-    circular-reference bookkeeping."""
-    inner = "\n" + "  " * (depth + 1)
-    encoder = json.JSONEncoder(
-        sort_keys=True, separators=("," + inner, ": "), default=_exact_rational,
-        check_circular=False,
-    )
-    return inner, "\n" + "  " * depth, encoder.encode
+# the list of a spectrum dump's records, as its payload is rendered; a raw
+# newline is never inside a JSON string, so this text is the structural line
+_RECORDS = '\n  "records": []'
 
 
-class _Rows:
-    """A list of flat dicts with the same keys, each given as the tuple of its
-    values in sorted-key order and written through one template
-    (_row_template).  Under a key in `quoted` the str() of a value is written
-    inside quotes, so it must need no JSON escaping (a "p/q" rational, a
-    tag); under any other key it is written as it is, so it must be JSON text
-    already (an int, null, a quoted rational).  A plain class: a dataclass
-    would add about a millisecond to every cold start."""
-
-    __slots__ = ("keys", "quoted", "rows")
-
-    def __init__(self, keys: tuple[str, ...], quoted: frozenset[str], rows: Iterable[tuple]):
-        self.keys, self.quoted, self.rows = keys, quoted, rows
-
-
-def _row_template(keys: tuple[str, ...], quoted: frozenset[str], depth: int) -> str:
-    """The %-template of one _Rows dict `depth` levels deep, laid out as
-    json.dumps(sort_keys=True, indent=2) lays it out."""
-    inner, outer, _ = _layout(depth)
-    items = ("," + inner).join(
-        json.dumps(key).replace("%", "%%") + (': "%s"' if key in quoted else ": %s")
-        for key in sorted(keys)
-    )
-    return "{" + inner + items + outer + "}"
-
-
-def _write_json(obj, write, depth: int = 0) -> None:
-    """Pass json.dumps(obj, sort_keys=True, indent=2), piece by piece, to
-    `write`, byte for byte, for a value built from scalars, lists, tuples,
-    iterators (rendered as lists) and dicts with string keys, where every
-    Fraction is written as its "p/q" string, as if json.dumps had
-    default=str for Fractions only; a _Rows is written as the list of its
-    dicts.
-
-    CPython's C encoder ignores `indent`, so json.dumps would render every
-    record in pure Python.  Here each dict, list or tuple whose values are all
-    scalars is one C-encoder call, each dict of a _Rows is one %-format of its
-    template, and every other level keeps the recursive layout.  An iterator
-    (or the rows of a _Rows) is drawn one item at a time, each item written
-    before the next is drawn, so its items are never all alive at once.
-    """
-    inner, outer, encode = _layout(depth)
-    is_dict, is_rows = isinstance(obj, dict), type(obj) is _Rows
-    if is_dict or isinstance(obj, (list, tuple)):
-        if obj and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-            text = encode(obj)
-            write(text[0] + inner + text[1:-1] + outer + text[-1])
-            return
-    elif not (is_rows or isinstance(obj, Iterator)):
-        write(encode(obj))
-        return
-    opening, closing = "{}" if is_dict else "[]"
-    sep = opening + inner
-    if is_dict:
-        for key, value in sorted(obj.items()):
-            write(sep + json.dumps(key) + ": ")
-            _write_json(value, write, depth + 1)
-            sep = "," + inner
-    elif is_rows:
-        template = _row_template(obj.keys, obj.quoted, depth + 1)
-        for row in obj.rows:
-            write(sep + template % row)
-            sep = "," + inner
-    else:
-        for value in obj:
-            write(sep)
-            _write_json(value, write, depth + 1)
-            sep = "," + inner
-    # an empty container stays literal
-    write(opening + closing if sep[0] == opening else outer + closing)
-
-
-def _dump(obj, path: str | None) -> None:
-    """Write obj to the file at `path`, else to stdout, as json.dumps(obj,
-    sort_keys=True, indent=2) would, with a final newline."""
+def _emit(payload: dict, path: str | None, records: Iterable[str] = ()) -> None:
+    """Write the payload under the schema tag to the file at `path`, else to
+    stdout, as json.dumps(sort_keys=True, indent=2) writes it, with every
+    Fraction as its "p/q" string and a final newline.  A spectrum dump's
+    payload holds "records": [], and its `records`, the JSON text of each
+    record, are written into that list one at a time, as they are drawn."""
+    text = json.dumps({"schema": SCHEMA, **payload}, sort_keys=True, indent=2, default=_exact_rational)
+    head, found, tail = text.partition(_RECORDS)
     with _output(path) as out:
-        _write_json(obj, out.write)
-        out.write("\n")
+        out.write(head)
+        if found:
+            out.write(_RECORDS[:-1])
+            sep = "\n    "
+            for record in records:
+                out.write(sep + record)
+                sep = ",\n    "
+            # an empty list stays literal
+            out.write("]" if sep[0] == "\n" else "\n  ]")
+        out.write(tail + "\n")
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    """Write the payload under the schema tag to --out or stdout."""
-    _dump({"schema": SCHEMA, **payload}, args.out)
-
-
-def _emit_csv(rows, header: Sequence[str], args: argparse.Namespace) -> None:
+def _emit_csv(rows, header: Sequence[str], path: str | None) -> None:
     """Write the header and the rows (an iterable of tuples in the header's
-    order) as CSV to --out or stdout, as they are drawn, through one row
+    order) as CSV to the file at `path`, else to stdout, as they are drawn, through one row
     template.  The str() of every value is written as it is, as csv.writer
     writes it when it needs no quoting: the rows hold numbers and fixed words
     only, and "" for an empty field."""
     template = ",".join(["%s"] * len(header)) + "\n"
-    with _output(args.out) as out:
+    with _output(path) as out:
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(template % row)
@@ -404,14 +328,19 @@ def cmd_eta(args: argparse.Namespace) -> int:
             # asdict(result) holds conv again under "conventions"
             record.update(asdict(result), unreduced=result.unreduced)
             record["validityFlag"] = record.pop("validity_flag")
-    _emit(record, args)
+    _emit(record, args.out)
     return exit_code
 
 
-# the fields of a spectrum row, in CSV column order; in JSON the tag and the
-# rationals a, b, d are strings, and mu_sq is a string or null
+# the fields of a spectrum row, in CSV column order
 _SPECTRUM_KEYS = ("tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq")
-_SPECTRUM_QUOTED = frozenset(("tag", "a", "b", "d"))
+# one record of a JSON spectrum dump, two levels deep, as json.dumps lays it
+# out: the values go in sorted-key order, the tag and the rationals a, b, d
+# inside quotes, and mu_sq as '"p/q"' or null
+_SPECTRUM_RECORD = "{" + ",".join(
+    f'\n      "{key}": ' + ('"%s"' if key in ("tag", "a", "b", "d") else "%s")
+    for key in sorted(_SPECTRUM_KEYS)
+) + "\n    }"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -443,24 +372,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
              "" if rec.mu_sq is None else rec.mu_sq)
             for rec in records
         )
-        _emit_csv(rows, _SPECTRUM_KEYS, args)
+        _emit_csv(rows, _SPECTRUM_KEYS, args.out)
         return 0
-    # in sorted-key order, as _Rows takes them
     rows = (
-        (rec.value.a, rec.value.b, rec.value.d, rec.k,
-         "null" if rec.mu_sq is None else '"%s"' % rec.mu_sq, rec.multiplicity, rec.p, rec.tag)
+        _SPECTRUM_RECORD % (rec.value.a, rec.value.b, rec.value.d, rec.k,
+                            "null" if rec.mu_sq is None else '"%s"' % rec.mu_sq,
+                            rec.multiplicity, rec.p, rec.tag)
         for rec in records
     )
-    _emit(
-        {
-            "command": "spectrum",
-            "geometry": g.label,
-            "r": r,
-            "eps": eps,
-            "records": _Rows(_SPECTRUM_KEYS, _SPECTRUM_QUOTED, rows),
-        },
-        args,
-    )
+    payload = {"command": "spectrum", "geometry": g.label, "r": r, "eps": eps, "records": []}
+    _emit(payload, args.out, rows)
     return 0
 
 
@@ -478,7 +399,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             "r": r,
             "closed": closed,
             "oracle_net": oracle.net,
-            "crossings": [asdict(c) for c in oracle.crossings],
+            "crossings": [vars(c) for c in oracle.crossings],
             "agree": closed == oracle.net,
         }
         if closed != oracle.net:
@@ -491,7 +412,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             "r0": r0,
             "r1": r1,
             "net": result.net,
-            "crossings": [asdict(c) for c in result.crossings],
+            "crossings": [vars(c) for c in result.crossings],
         }
 
     if "delta_flow" not in payload and "s_flow" not in payload:
@@ -503,9 +424,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
             for variant in ("delta_flow", "s_flow")
             for c in payload.get(variant, {}).get("crossings", [])
         ]
-        _emit_csv(rows, header, args)
+        _emit_csv(rows, header, args.out)
         return exit_code
-    _emit(payload, args)
+    _emit(payload, args.out)
     return exit_code
 
 
@@ -547,7 +468,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     ]
     _emit(
         {"command": "measure check", "laplace": laplace_rows, "near_zero": near_rows},
-        args,
+        args.out,
     )
     return 0
 
@@ -575,15 +496,15 @@ def cmd_identities(args: argparse.Namespace) -> int:
                         }
                     )
                     all_ok = all_ok and ok
-    _emit({"command": "identities run", "passed": all_ok, "checks": checks}, args)
+    _emit({"command": "identities run", "passed": all_ok, "checks": checks}, args.out)
     return 0 if all_ok else 3
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate()
     path = args.conventions or "conventions.json"
-    _dump({"schema": SCHEMA, **asdict(result.conventions)}, path)
-    _emit({"command": "calibrate", **asdict(result), "persisted_to": path}, args)
+    _emit(asdict(result.conventions), path)
+    _emit({"command": "calibrate", **asdict(result), "persisted_to": path}, args.out)
     return 0
 
 

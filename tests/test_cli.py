@@ -484,6 +484,28 @@ def test_malformed_conventions_file_is_a_usage_error(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "UsageError"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b'{"r": ' + b"1" * 5000 + b"}", b'{"r": "1/3"} \xff', b"{not json"],
+    ids=["integer_past_digit_limit", "not_utf8", "not_json"],
+)
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, data):
+    """A config that json.load refuses, with any ValueError, is a JSON usage
+    error with exit 1, and an --out file is left alone."""
+    config = tmp_path / "cfg.json"
+    config.write_bytes(data)
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    code, out, err = _run(
+        capsys, "eta", "exact", *_SURFACE_01, "--eps", "1/10", "--config", str(config),
+        "--out", str(out_file),
+    )
+    assert code == 1 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and record["detail"].startswith("cannot read config")
+    assert out_file.read_bytes() == b"earlier output\n"
+
+
 def test_non_string_conventions_path_is_refused_before_anything_is_opened(tmp_path):
     """A config "conventions" value that is not a string is a JSON usage
     error: open() would take 0 as stdin (and close it), 1 as stdout."""
@@ -792,107 +814,68 @@ def test_eta_adiabatic_does_not_need_eps(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
-_SCALARS = (
-    st.none() | st.booleans() | st.integers(-10**20, 10**20)
-    | st.floats() | st.text(max_size=6) | st.fractions()
-)
-_PAYLOADS = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
-)
+def test_empty_spectrum_dump_writes_an_empty_records_list(tmp_path):
+    """A Hodge table of zeros over the k-range gives no record: the dump is
+    json.dumps of its payload, with "records": []."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"hodge": {"type": "table", "table": {
+        f"{p},{k}": 0 for p in (0, 1) for k in range(-2, 3)
+    }}}))
+    out_file = tmp_path / "out.json"
+    assert main([
+        "spectrum", *_SURFACE_01, "--config", str(config), "--r", "1/3", "--eps", "1/10",
+        "--k-min", "-2", "--k-max", "2", "--out", str(out_file),
+    ]) == 0
+    expected = json.dumps(
+        {"schema": "etaforge/1", "command": "spectrum", "geometry": "surface(genus=0, degree=1)",
+         "r": "1/3", "eps": "1/10", "records": []},
+        sort_keys=True, indent=2,
+    ) + "\n"
+    assert out_file.read_text(encoding="utf-8") == expected
 
 
-def _json_text(obj) -> str:
-    pieces = []
-    cli._write_json(obj, pieces.append)
-    return "".join(pieces)
+def test_spectrum_dump_label_cannot_split_the_records_list(tmp_path):
+    """A label that holds the text of the records list, a quote and a NUL is
+    escaped by json.dumps, so the records still go into the one list."""
+    from etaforge.spectrum import type1_eigenvalues
 
-
-def _lists_as_iterators(obj):
-    """The same value with every list (and tuple) replaced by an iterator."""
-    if isinstance(obj, dict):
-        return {key: _lists_as_iterators(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return iter([_lists_as_iterators(value) for value in obj])
-    return obj
-
-
-@settings(max_examples=300, deadline=None)
-@given(_PAYLOADS)
-def test_json_writer_matches_json_dumps(payload):
-    """The writer renders a Fraction as str() does, and every other value as
-    json.dumps does."""
-    expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
-    assert _json_text(payload) == expected
-    assert _json_text(_lists_as_iterators(payload)) == expected
-
-
-def test_json_writer_literal_cases():
-    payload = {
-        "empty": {}, "none": [], "nested": [[], [{}], {"x": [1.5, -2, None, "é✓"]}],
-        "rows": [{"a": "1/2", "b": None, "k": -3, "ok": True}, {"z": float("inf")}],
-        "tuple": (1, (2.0,)), "\u00e9": "\n",
-    }
-    expected = json.dumps(payload, sort_keys=True, indent=2)
-    assert _json_text(payload) == expected
-    assert _json_text(_lists_as_iterators(payload)) == expected
-    for value in ({}, [], 0, "s", None, [[]], [{}, [[]]]):
-        expected = json.dumps(value, sort_keys=True, indent=2)
-        assert _json_text(value) == expected
-        assert _json_text(_lists_as_iterators(value)) == expected
-    assert _json_text({"gen": (x for x in ()), "it": iter([iter([])])}) == json.dumps(
-        {"gen": [], "it": [[]]}, sort_keys=True, indent=2
-    )
-    # a value JSON has no type for, other than a Fraction, is refused
-    for value in (QuadSurd.make(1), object()):
-        for payload in (value, [value], {"v": value}, [1, [value]]):
-            with pytest.raises(TypeError):
-                _json_text(payload)
-
-
-def _flat(i: int) -> dict:
-    return {"i": i, "half": Fraction(i, 2), "s": f"}},\n{{{i}", "x": None, "y": 1.5, "t": True}
-
-
-@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 129])
-def test_json_writer_renders_runs_of_flat_dicts(length):
-    """Runs of flat dicts, alone and between nested items, empty dicts and
-    scalars, from lists and from iterators."""
-    run = [_flat(i) for i in range(length)]
-    payloads = [
-        run,
-        {"records": run},
-        [{"nested": [1]}, *run, {}, *run, 7, [_flat(-1)], *run, {"deep": {"a": 1}}],
-        [run, {"rows": run}, *run],
-    ]
-    for payload in payloads:
-        expected = json.dumps(payload, sort_keys=True, indent=2, default=str)
-        assert _json_text(payload) == expected
-        assert _json_text(_lists_as_iterators(payload)) == expected
-
-
-def test_json_writer_draws_one_item_at_a_time():
-    pieces = []
-    drawn = 0
-
-    def rows():
-        nonlocal drawn
-        for i in range(50):
-            drawn += 1
-            # every item drawn before this one is written already
-            assert drawn <= "".join(pieces).count('"i": ') + 1
-            yield {"i": i, "v": Fraction(1, i + 1)} if i % 3 else {"i": i, "nested": [i, {"j": i}]}
-
-    cli._write_json({"command": "x", "records": rows()}, pieces.append)
-    assert drawn == 50
-    assert "".join(pieces) == json.dumps(
-        {"command": "x", "records": [
-            {"i": i, "v": Fraction(1, i + 1)} if i % 3 else {"i": i, "nested": [i, {"j": i}]}
-            for i in range(50)
-        ]},
+    label = 'x"records": []\n  "records": [] "\u0000'
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"geometry": {
+        "m": 1, "top_integral": 1, "c1L": 1, "c1K": -1, "tangent_roots": [2], "label": label,
+    }}))
+    out_file = tmp_path / "out.json"
+    assert main([
+        "spectrum", "--config", str(config), "--r", "1/3", "--eps", "1/10",
+        "--k-min", "-2", "--k-max", "2", "--out", str(out_file),
+    ]) == 0
+    args = cli.build_parser().parse_args(["spectrum", "--config", str(config)])
+    _, g, hp = cli._load_inputs(args)
+    assert g.label == label
+    records = type1_eigenvalues(g, hp, Fraction(1, 3), Fraction(1, 10), (-2, 2))
+    assert records
+    expected = json.dumps(
+        {"schema": "etaforge/1", "command": "spectrum", "geometry": label, "r": "1/3",
+         "eps": "1/10", "records": [
+             {"tag": rec.tag, "k": rec.k, "p": rec.p, "multiplicity": rec.multiplicity,
+              "a": rec.value.a, "b": rec.value.b, "d": rec.value.d, "mu_sq": rec.mu_sq}
+             for rec in records
+         ]},
         sort_keys=True, indent=2, default=str,
-    )
+    ) + "\n"
+    assert out_file.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("value", [QuadSurd.make(1), object()], ids=["quadsurd", "object"])
+def test_a_value_json_has_no_type_for_is_refused(monkeypatch, tmp_path, value):
+    """A value that is neither a Fraction nor JSON-native is a TypeError, not
+    its repr, and it is raised before the --out file is opened."""
+    monkeypatch.setattr(cli, "adiabatic_limit", lambda *a: [1, {"v": value}])
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    with pytest.raises(TypeError, match="cannot write a"):
+        main(["eta", "adiabatic", *_SURFACE_01, "--r", "1/3", "--out", str(out_file)])
+    assert out_file.read_bytes() == b"earlier output\n"
 
 
 _RAT_TEXTS = [
@@ -930,33 +913,6 @@ def _assert_rat_is_fraction(text):
     else:
         value = cli._rat(text, "x")
         assert type(value) is Fraction and value == expected
-
-
-def test_json_writer_renders_rows_through_one_template():
-    keys, quoted = ("tag", "n", "q", "x"), frozenset(("tag", "q"))
-    dicts = [
-        {"tag": "t1", "n": -4, "q": Fraction(-7, 3), "x": None},
-        {"tag": "t2", "n": 0, "q": Fraction(5), "x": "1/2"},
-    ]
-
-    def rows(items):
-        return cli._Rows(keys, quoted, (
-            (d["n"], d["q"], d["tag"], "null" if d["x"] is None else f'"{d["x"]}"') for d in items
-        ))
-
-    for items in (dicts, dicts[:1], []):
-        for payload in ({"records": rows(items), "a": 1}, [rows(items), [rows(items)]]):
-            expected = json.dumps(_plain(payload, items), sort_keys=True, indent=2, default=str)
-            assert _json_text(payload) == expected
-
-
-def _plain(payload, items):
-    """The payload with each _Rows replaced by the dicts it stands for."""
-    if isinstance(payload, dict):
-        return {key: _plain(value, items) for key, value in payload.items()}
-    if isinstance(payload, list):
-        return [_plain(value, items) for value in payload]
-    return items if isinstance(payload, cli._Rows) else payload
 
 
 _TEMPLATE_CASES = {
