@@ -878,6 +878,50 @@ def test_a_value_json_has_no_type_for_is_refused(monkeypatch, tmp_path, value):
     assert out_file.read_bytes() == b"earlier output\n"
 
 
+_PLAIN_PAYLOADS = {
+    "literals": {
+        "empty": {}, "none": [], "nested": [[], [{}], {"x": [1.5, -2, None, "é✓"]}],
+        "tuple": (1, (2.0,)), "é": "\n", "half": Fraction(-1, 2),
+    },
+    # only the top-level records list is ever filled
+    "nested_records_lists": {"a": {"records": []}, "b": [{"records": [1]}, {"records": []}]},
+    "records_list_with_no_rows": {"records": [], "label": '\n  "records": []'},
+}
+
+
+@pytest.mark.parametrize("payload", list(_PLAIN_PAYLOADS.values()), ids=list(_PLAIN_PAYLOADS))
+def test_emit_writes_a_payload_as_json_dumps_does(capsys, payload):
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == json.dumps(
+        {"schema": cli.SCHEMA, **payload}, sort_keys=True, indent=2, default=str,
+    ) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_emit_streams_records_as_they_are_drawn(monkeypatch, count):
+    """Each record's text is written into the records list before the next
+    one is drawn, and the whole is json.dumps of the payload with its records."""
+    import io
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    records = [{"i": i, "s": f'"records": [],\n{{{i}', "v": None} for i in range(count)]
+
+    def texts():
+        for i, record in enumerate(records):
+            assert out.getvalue().count('"i": ') == i
+            # a record's text as it stands at depth 2 of the payload
+            yield json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+    # a records list below the top level comes first, and stays empty
+    payload = {"a": {"records": []}, "command": "x", "records": [], "z": [Fraction(1, 3)]}
+    cli._emit(payload, None, texts())
+    assert out.getvalue() == json.dumps(
+        {**payload, "schema": cli.SCHEMA, "records": records, "z": ["1/3"]},
+        sort_keys=True, indent=2,
+    ) + "\n"
+
+
 _RAT_TEXTS = [
     "3", "-3", "0", "-0", "007/020", "1/3", "-22/7", "+3", " 3", "3 ", "1_000", "--3", "-",
     "3/-4", "3/+4", "1/0", "0/0", "1 / 2", "1/", "/2", "1/2/3", "", "1.5", "-.5", "1e3",
