@@ -310,13 +310,19 @@ def default_calibration_suite() -> list[tuple[Geometry, HodgeProvider]]:
     return suite
 
 
+def _no_kernel_at_zero(g: Geometry, hp: HodgeProvider) -> bool:
+    """Every h(p, 0) is known and zero.  A surface whose k = 0 data is
+    unknown is skipped by T1 and T2; any other provider error propagates."""
+    try:
+        return all(hp.h(p, 0) == 0 for p in range(g.m + 1))
+    except UnknownHodgeData:
+        return False
+
+
 def _t1_holds(suite, conv: ConventionSet) -> bool:
-    """Continuity at r -> 0+ whenever no Hodge number at k=0 is nonzero."""
+    """Continuity at r -> 0+ on every geometry with no kernel data at k = 0."""
     for g, hp in suite:
-        try:
-            if any(hp.h(p, 0) != 0 for p in range(g.m + 1)):
-                continue
-        except UnknownHodgeData:
+        if not _no_kernel_at_zero(g, hp):
             continue
         # on (0,1) the bracket is a polynomial in r with a = 1 - 2r, so its
         # r -> 0+ limit is its value at a = 1, r = 0
@@ -327,110 +333,70 @@ def _t1_holds(suite, conv: ConventionSet) -> bool:
     return True
 
 
-def _t2_windows(suite) -> list[tuple[Geometry, HodgeProvider, Fraction, Fraction]]:
-    """(g, hp, r0, r1) for every T2 window on the surfaces with no Hodge data at k = 0."""
-    return [
-        (g, hp, r0, r1)
-        for g, hp in suite
-        if g.m == 1 and hp.h(0, 0) == 0 and hp.h(1, 0) == 0
-        for r0, r1 in _T2_WINDOWS
-    ]
-
-
-def _t2_rest(suite) -> list[Fraction]:
-    """R on every T2 window and ε: the knob-free APS right-hand side minus the
-    δ-flow difference.  No convention knob enters it, so calibrate() builds
-    it once for both signs."""
-    return [
-        _aps_rhs(g, hp, r0, r1, eps)
-        - (flow_in_delta_closed(g, hp, r1, eps) - flow_in_delta_closed(g, hp, r0, eps))
-        for g, hp, r0, r1 in _t2_windows(suite)
-        for eps in _T2_EPS
-    ]
-
-
-def _t2_pieces(
-    suite, conv: ConventionSet, rest: list[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
-    """(ΔA, R) on every T2 window and ε, for conv's sign_c; rest is _t2_rest(suite).
-
-    ΔA is the adiabatic-limit difference, the only piece that depends on
-    sign_c; the transgression cancels in η̄(r1) - η̄(r0), so the APS relation
-    holds on a window exactly when ΔA == flow_factor·R.
-    """
-    d_adia = [
-        adiabatic_limit(g, hp, r1, conv) - adiabatic_limit(g, hp, r0, conv)
-        for g, hp, r0, r1 in _t2_windows(suite)
-    ]
-    return list(zip((d for d in d_adia for _ in _T2_EPS), rest))
-
-
-def _t2_holds(pieces, conv: ConventionSet) -> bool:
-    return all(d_adia == conv.flow_factor * rest for d_adia, rest in pieces)
-
-
-def _t3_pieces(suite, conv: ConventionSet) -> list[tuple[Fraction, Fraction]]:
-    """(transgression at scale 1, target ε²l/12 - εχ/12) for conv's sign_c."""
-    pieces = []
-    for g, _ in suite:
-        if g.m != 1:
-            continue
-        chi = sum(g.tangent_roots)  # Euler characteristic of the surface
-        for eps in (Fraction(1, 10), Fraction(1, 7)):
-            expected = eps**2 * g.c1L / 12 - eps * chi / 12
-            pieces.append((transgression(g, eps, conv), expected))
-    return pieces
-
-
-def _t3_holds(pieces, conv: ConventionSet) -> bool:
-    return all(conv.transgression_scale * trans == expected for trans, expected in pieces)
-
-
 def calibrate(
     suite: Sequence[tuple[Geometry, HodgeProvider]] | None = None,
 ) -> CalibrationResult:
     """Search the convention knobs for the unique internally consistent set.
 
     T1: continuity of the adiabatic limit at r = 0 when the kernel data
-        vanishes; T2: the APS difference relation on genus-0 windows;
-    T3: the dimension-3 surface transgression value ε²l/12 - εχ/12.
+        vanishes; T2: the APS difference relation on windows of the surfaces
+        with no kernel data at k = 0; T3: the dimension-3 surface
+        transgression value ε²l/12 - εχ/12, with l = c₁(L) and χ the sum of
+        the tangent roots.
 
-    T1 and the T2/T3 pieces depend only on sign_c, so they are computed once
-    per sign (at flow_factor 1, transgression_scale 1), and the knob-free
-    part of the T2 pieces once for both signs; the candidates of a sign are
-    then decided by rational arithmetic on those pieces.
+    The transgression cancels in η̄(r1) - η̄(r0), so the APS relation holds
+    on a window exactly when ΔA == flow_factor·R.  ΔA, the adiabatic-limit
+    difference, depends on sign_c but not on ε; R, the knob-free APS
+    right-hand side minus the δ-flow difference, is built once for both
+    signs.  T1, ΔA and the T3 transgressions are computed once per sign (at
+    flow_factor 1, transgression_scale 1), and the candidates of a sign are
+    then decided by rational arithmetic.
     """
     if suite is None:
         suite = default_calibration_suite()
-    if not any(g.m == 1 for g, _ in suite):
+    surfaces = [(g, hp) for g, hp in suite if g.m == 1]
+    if not surfaces:
         raise UsageError("calibration suite must contain surface presets")
-    checked = 0
-    rest: list[Fraction] | None = None  # built when the first sign passes T1
+    windows = None  # (g, hp, r0, r1, R on each ε), built when a sign first passes T1
     survivors: list[ConventionSet] = []
     t3: dict[int, list[tuple[Fraction, Fraction]]] = {}  # for signs with survivors
     for sign_c in (1, -1):
         unit = ConventionSet(sign_c, 1, Fraction(1))
-        candidates = [
-            ConventionSet(sign_c, flow_factor, scale)
-            for flow_factor in (1, 2)
-            for scale in _SCALE_CANDIDATES
-        ]
-        checked += len(candidates)
         if not _t1_holds(suite, unit):
             continue
-        if rest is None:
-            rest = _t2_rest(suite)
-        t2 = _t2_pieces(suite, unit, rest)
-        passed = [conv for conv in candidates if _t2_holds(t2, conv)]
-        if passed:
-            t3[sign_c] = _t3_pieces(suite, unit)
-            survivors += passed
+        if windows is None:
+            windows = [
+                (g, hp, r0, r1, [
+                    _aps_rhs(g, hp, r0, r1, eps)
+                    - (flow_in_delta_closed(g, hp, r1, eps) - flow_in_delta_closed(g, hp, r0, eps))
+                    for eps in _T2_EPS
+                ])
+                for g, hp in surfaces
+                if _no_kernel_at_zero(g, hp)
+                for r0, r1 in _T2_WINDOWS
+            ]
+        flows = [1, 2]
+        for g, hp, r0, r1, rest in windows:
+            d_adia = adiabatic_limit(g, hp, r1, unit) - adiabatic_limit(g, hp, r0, unit)
+            flows = [f for f in flows if all(d_adia == f * r for r in rest)]
+        if flows:
+            t3[sign_c] = [
+                (transgression(g, eps, unit), eps**2 * g.c1L / 12 - eps * sum(g.tangent_roots) / 12)
+                for g, _ in surfaces
+                for eps in (Fraction(1, 10), Fraction(1, 7))
+            ]
+            survivors += [ConventionSet(sign_c, f, scale) for f in flows for scale in _SCALE_CANDIDATES]
+    checked = 2 * 2 * len(_SCALE_CANDIDATES)  # sign_c × flow_factor × scale
     if not survivors:
         raise NoConsistentConvention(
             "no (sign_c, flow_factor, transgression_scale) satisfies "
             "continuity and the APS relation on the calibration suite"
         )
-    full = [conv for conv in survivors if _t3_holds(t3[conv.sign_c], conv)]
+    full = [
+        conv
+        for conv in survivors
+        if all(conv.transgression_scale * trans == target for trans, target in t3[conv.sign_c])
+    ]
     if len(full) == 1:
         return CalibrationResult(full[0], True, True, True, checked)
     if not full:

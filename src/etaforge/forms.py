@@ -349,8 +349,7 @@ def _big_omega(model: KahlerModel, jm: Matrix) -> EndForm:
         for col in range(2 * model.m):
             for row in range(n):
                 rows[row][col] = jm[col][i] * jm[row][j] - jm[col][j] * jm[row][i]
-        if any(any(r) for r in rows):
-            values[(i, j)] = tuple(tuple(r) for r in rows)
+        values[(i, j)] = tuple(tuple(r) for r in rows)
     return EndForm(2, n, n, values)
 
 
@@ -374,8 +373,7 @@ def build_tensors(model: KahlerModel) -> dict:
         rows2[v][i] = 1
         rows3[i][v] = -1
         for vals, rows in ((a1_vals, rows1), (a2_vals, rows2), (a3_vals, rows3)):
-            if any(any(r) for r in rows):
-                vals[(i,)] = tuple(tuple(r) for r in rows)
+            vals[(i,)] = tuple(tuple(r) for r in rows)
     alpha1 = EndForm(1, n, n, a1_vals)
     alpha2 = EndForm(1, n, n, a2_vals)
     alpha3 = EndForm(1, n, n, a3_vals)
@@ -410,8 +408,7 @@ def constant_curvature_block(model: KahlerModel, kappa: Fraction) -> EndForm:
                 )
                 if val:
                     rows[row][z] = quarter_kappa * val
-        if any(any(r) for r in rows):
-            values[(i, j)] = tuple(tuple(r) for r in rows)
+        values[(i, j)] = tuple(tuple(r) for r in rows)
     return EndForm(2, n, n, values)
 
 

@@ -319,6 +319,7 @@ def test_criterion_10_calibration_honesty(monkeypatch):
         assert result.conventions == DEFAULT_CONVENTIONS
         assert result.t3_ok  # and the T3 status is reported either way
         # when nothing fits, the failure is loud, never a silent default
-        monkeypatch.setattr(eta_mod, "_t2_holds", lambda suite, conv: False)
+        real = eta_mod._aps_rhs
+        monkeypatch.setattr(eta_mod, "_aps_rhs", lambda *args: real(*args) + 1)
         with pytest.raises(NoConsistentConvention):
             calibrate()

@@ -75,7 +75,9 @@ def test_usage_error_is_a_json_record(capsys):
 
 
 def test_calibration_failure_is_a_json_record(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(eta_mod, "_t2_holds", lambda suite, conv: False)
+    # an APS right-hand side off by 1 leaves no candidate meeting T2
+    real = eta_mod._aps_rhs
+    monkeypatch.setattr(eta_mod, "_aps_rhs", lambda *args: real(*args) + 1)
     code, out, err = _run(capsys, "calibrate", "--conventions", str(tmp_path / "c.json"))
     assert code == 3 and out == ""
     record = json.loads(err)
@@ -147,6 +149,27 @@ def test_invalid_dolbeault_truly_negative(tmp_path, capsys):
         "--r", "0", "--eps", "1/10", "--k-min", "0", "--k-max", "1",
     )
     assert code == 2
+    assert json.loads(err)["error"] == "InvalidDolbeaultData"
+
+
+@pytest.mark.parametrize(
+    "mode, args",
+    [
+        ("exact", ("--r", "1/3", "--eps", "1/10")),
+        ("asymptotic", ("--r", "1/3", "--eps", "1/10")),
+        ("adiabatic", ("--r", "1/3")),
+        ("aps-check", ("--r0", "0", "--r1", "1/2", "--eps", "1/10")),
+    ],
+)
+def test_eta_refuses_invalid_dolbeault_data_in_every_mode(tmp_path, capsys, mode, args):
+    # d^1 = e^1 - e^0 = -1: no mode reads the block's values, but each refuses it
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "geometry": {"preset": "surface", "genus": 0, "degree": 1},
+        "dolbeault": {"lower_bound": "1", "entries": [[0, 0, "1", 1], [0, 1, "1", 0]]},
+    }))
+    code, out, err = _run(capsys, "eta", mode, "--config", str(config), *args)
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidDolbeaultData"
 
 
