@@ -46,7 +46,6 @@ from .spectrum import (
     DolbeaultProvider,
     EigRecord,
     QuadSurd,
-    alternating_multiplicity,
     finite_eta_partial,
     kernel_dimension,
     type1_eigenvalues,

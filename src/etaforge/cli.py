@@ -187,7 +187,7 @@ def _build_hodge(args: argparse.Namespace, cfg: dict, g: Geometry) -> HodgeProvi
 
 
 @_reading_config("dolbeault")
-def _build_dolbeault(cfg: dict) -> DolbeaultProvider | None:
+def _build_dolbeault(cfg: dict, m: int) -> DolbeaultProvider | None:
     d_cfg = cfg.get("dolbeault")
     if d_cfg is None:
         return None
@@ -195,7 +195,7 @@ def _build_dolbeault(cfg: dict) -> DolbeaultProvider | None:
         (_int(k, "k"), _int(p, "p"), _rat(mu_sq, "mu_sq"), _int(e, "multiplicity"))
         for k, p, mu_sq, e in d_cfg.get("entries", [])
     )
-    return DolbeaultProvider(entries, _rat(d_cfg["lower_bound"], "lower_bound"))
+    return DolbeaultProvider(entries, _rat(d_cfg["lower_bound"], "lower_bound"), m)
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[dict, Geometry, HodgeProvider]:
@@ -298,7 +298,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
     conv = _load_conventions(args, cfg)
     # built in every mode, so that invalid Dolbeault data is always refused;
     # only the exact value reads it (for its validity flag)
-    provider = _build_dolbeault(cfg)
+    provider = _build_dolbeault(cfg, g.m)
     mode = args.eta_mode
     record = {"command": f"eta {mode}", "geometry": g.label, "conventions": asdict(conv)}
     # the adiabatic limit does not depend on eps, so that mode does not read it
@@ -345,7 +345,7 @@ _SPECTRUM_RECORD = "{" + ",".join(
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg, g, hp = _load_inputs(args)
-    provider = _build_dolbeault(cfg)
+    provider = _build_dolbeault(cfg, g.m)
     r = _param(args, cfg, "r", _rat, required=True)
     eps = _param(args, cfg, "eps", _rat, required=True)
     with _reading_config("spectrum"):
@@ -358,7 +358,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{_MAX_SPECTRUM_K_VALUES} values"
         )
     type1 = type1_eigenvalues(g, hp, r, eps, k_range)
-    type2 = [] if provider is None else type2_records(provider, r, eps, g.m, k_range)
+    type2 = [] if provider is None else type2_records(provider, r, eps, k_range)
     # type-1 records come in (k, p) order already, so only the type-2 ones
     # are sorted before the two lists are merged
     order = attrgetter("k", "p", "tag")

@@ -22,7 +22,7 @@ class ProviderConsistencyError(EtaforgeError):
 
 
 class InvalidDolbeaultData(EtaforgeError):
-    """Dolbeault multiplicities violate the alternating-sum nonnegativity constraint."""
+    """Dolbeault multiplicities form no exact complex: a negative d^p or a nonzero d^m."""
 
 
 class CrossCheckFailed(EtaforgeError):

@@ -28,11 +28,28 @@ class HodgeProvider:
         if not 0 <= p <= self.m:
             raise UsageError(f"p={p} outside 0..{self.m}")
 
+    def _declare(self, table: Mapping[tuple[int, int], int]) -> None:
+        """Keep the declared values, once each p is in 0..m and each value >= 0."""
+        for (p, k), value in table.items():
+            self._check_p(p)
+            if value < 0:
+                raise UsageError(f"h^({p},{k}) = {value}: Hodge numbers must be nonnegative")
+        self._table = table
+
+    def _declared(self, p: int, k: int) -> int:
+        """The value declared at (p, k), else at its Serre dual (m - p, -k)."""
+        table = self._table
+        if (p, k) in table:
+            return table[(p, k)]
+        if (self.m - p, -k) in table:
+            return table[(self.m - p, -k)]
+        raise UnknownHodgeData(f"h^({p},{k}) is not declared, nor its Serre dual")
+
 
 @dataclass
 class SurfaceHodge(HodgeProvider):
-    """Genus-g surface, degree-l bundle; h^{0,0} (theta characteristic) and
-    any other exceptional-range values are caller-declared."""
+    """Genus-g surface, degree-l bundle; h00, the declared h^{0,0} (theta
+    characteristic), and any other exceptional-range values are caller-declared."""
 
     genus: int
     degree: int
@@ -43,44 +60,35 @@ class SurfaceHodge(HodgeProvider):
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise UsageError("surface provider requires degree >= 1")
-        if any(v < 0 for v in self.exceptional_table.values()):
-            raise UsageError("Hodge numbers must be nonnegative")
-        # Riemann-Roch: h^{0,k} - h^{0,-k} = kl wherever both sides are known
-        for p, k in self.exceptional_table:
-            lhs, rhs = self._known_h0(k), self._known_h0(-k)
-            if p == 0 and lhs is not None and rhs is not None and lhs - rhs != k * self.degree:
+        declared = dict(self.exceptional_table)
+        if self.h00 is not None and declared.setdefault((0, 0), self.h00) != self.h00:
+            raise UsageError(
+                f"h00 = {self.h00} and the exceptional h^(0,0) = {declared[(0, 0)]} disagree"
+            )
+        self._declare(declared)
+        # Riemann-Roch: h^{0,j} - h^{0,-j} = jl wherever both sides are known,
+        # with j = k at a declared (0, k) and j = -k at a declared (1, k)
+        for p, k in declared:
+            j = k if p == 0 else -k
+            try:
+                lhs, rhs = self.h(0, j), self.h(0, -j)
+            except UnknownHodgeData:
+                continue  # one side depends on moduli: nothing to compare
+            if lhs - rhs != j * self.degree:
                 raise UsageError(
-                    f"h^(0,{k}) = {lhs} and h^(0,{-k}) = {rhs} break Riemann-Roch: "
-                    f"their difference must be {k * self.degree}"
+                    f"h^(0,{j}) = {lhs} and h^(0,{-j}) = {rhs} break Riemann-Roch: "
+                    f"their difference must be {j * self.degree}"
                 )
 
-    def _h0(self, k: int) -> int:
-        kl = k * self.degree
+    def h(self, p: int, k: int) -> int:
+        self._check_p(p)
+        kl = (k if p == 0 else -k) * self.degree  # Serre duality h^{1,k} = h^{0,-k}
         gm1 = self.genus - 1
         if kl > gm1:
             return kl
         if kl < -gm1:
             return 0
-        if k == 0 and self.h00 is not None:
-            return self.h00
-        if (0, k) in self.exceptional_table:
-            return self.exceptional_table[(0, k)]
-        raise UnknownHodgeData(
-            f"h^(0,{k}) on genus {self.genus} depends on moduli; declare it"
-        )
-
-    def _known_h0(self, k: int) -> int | None:
-        """h^{0,k} from vanishing or a declaration, None where it depends on moduli."""
-        try:
-            return self._h0(k)
-        except UnknownHodgeData:
-            return None
-
-    def h(self, p: int, k: int) -> int:
-        self._check_p(p)
-        if p == 0:
-            return self._h0(k)
-        return self._h0(-k)  # Serre duality h^{1,k} = h^{0,-k}
+        return self._declared(p, k)
 
 
 @dataclass
@@ -97,6 +105,7 @@ class HrrVanishingHodge(HodgeProvider):
         self.m = self.geometry.m
         if self.k0 < 1:
             raise UsageError("k0 must be a positive integer")
+        self._declare(self.table)
 
     def _chi_at(self, k: int) -> int:
         value = sum(c * k**a for a, c in enumerate(hrr_chi(self.geometry)))
@@ -118,11 +127,7 @@ class HrrVanishingHodge(HodgeProvider):
             return value
         if k <= -self.k0:
             return self.h(self.m - p, -k)
-        if (p, k) in self.table:
-            return self.table[(p, k)]
-        if (self.m - p, -k) in self.table:
-            return self.table[(self.m - p, -k)]
-        raise UnknownHodgeData(f"h^({p},{k}) not declared in the strip |k| < {self.k0}")
+        return self._declared(p, k)
 
 
 @dataclass
@@ -132,10 +137,9 @@ class TableHodge(HodgeProvider):
     m: int
     table: Mapping[tuple[int, int], int]
 
+    def __post_init__(self) -> None:
+        self._declare(self.table)
+
     def h(self, p: int, k: int) -> int:
         self._check_p(p)
-        if (p, k) in self.table:
-            return self.table[(p, k)]
-        if (self.m - p, -k) in self.table:
-            return self.table[(self.m - p, -k)]
-        raise UnknownHodgeData(f"h^({p},{k}) not in table")
+        return self._declared(p, k)

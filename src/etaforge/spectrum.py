@@ -106,23 +106,26 @@ class EigRecord:
 
 @dataclass(frozen=True)
 class DolbeaultProvider:
-    """Declared Dolbeault data: entries (k, p, μ², e_μ^{p,k}) and a positive
-    lower bound M on the stored μ² values.
+    """Declared Dolbeault data on an m-dimensional base: entries
+    (k, p, μ², e_μ^{p,k}) with 0 <= p <= m, and a positive lower bound M on
+    the stored μ² values.
 
     Lookups go through an index of the entries keyed by (k, p) and μ² as
     numerator and denominator (which skips hashing a Fraction), built once;
-    when a key repeats, its first entry is the one the index keeps.  Every
-    key's alternating multiplicity d^p is checked once, at construction, and
-    the keys with d^p > 0 are kept for type2_records.
+    when a key repeats, its first entry is the one the index keeps.  The
+    complex is exact on a positive eigenvalue: with e^p = 0 where no entry is
+    given, each d^p = e^p - d^{p-1} >= 0 and d^m = 0, or the provider refuses
+    the data.  The keys with d^p > 0 are kept, in first-entry order.
     """
 
     entries: tuple[tuple[int, int, Fraction, int], ...]
     lower_bound: Fraction
+    m: int
 
     def __post_init__(self) -> None:
         if self.lower_bound <= 0:
             raise UsageError("lower bound M must be positive")
-        m_num, m_den = self.lower_bound.numerator, self.lower_bound.denominator
+        m, m_num, m_den = self.m, self.lower_bound.numerator, self.lower_bound.denominator
         index: dict[tuple[int, int, int, int], tuple[int, int, Fraction, int]] = {}
         for entry in self.entries:
             k, p, mu_sq, e = entry
@@ -134,19 +137,32 @@ class DolbeaultProvider:
                 raise UsageError("declared lower bound exceeds a stored eigenvalue")
             if e < 0:
                 raise UsageError("multiplicities must be nonnegative")
+            if not 0 <= p <= m:
+                raise UsageError(f"Dolbeault entry at p={p} outside 0..{m}")
             index.setdefault((k, p, s, t), entry)
-        # d^p = e^p - e^{p-1} + ... ± e^0 of each key, in first-entry order,
-        # read from the index: perfbench's tracer wraps e() and readies its
-        # wrapper only once construction is over
+        # d^0..d^m of each (k, μ²), walked from the index when its first key is
+        # met: perfbench's tracer wraps e() and readies it after construction
+        d_at: dict[tuple[int, int, int, int], int] = {}
         positive = []
-        for (k, p, s, t), (_, _, mu_sq, _) in index.items():
-            total = 0
-            for q in range(p + 1):
-                entry = index.get((k, q, s, t))
-                total = (0 if entry is None else entry[3]) - total
-            _check_alternating(total, k, p, mu_sq)
-            if total:
-                positive.append((k, p, mu_sq, total))
+        for key, (k, p, mu_sq, _) in index.items():
+            d = d_at.get(key)
+            if d is None:
+                s, t, d = key[2], key[3], 0
+                for q in range(m + 1):
+                    key_q = (k, q, s, t)
+                    entry = index.get(key_q)
+                    d = (0 if entry is None else entry[3]) - d
+                    if d < 0:
+                        break
+                    d_at[key_q] = d
+                if d:  # a negative d^q, or d^m != 0
+                    raise InvalidDolbeaultData(
+                        f"alternating multiplicity d^{q} = {d} at (k={k}, mu_sq={mu_sq}): "
+                        f"an exact complex has every d^p >= 0 and d^{m} = 0"
+                    )
+                d = d_at[key]
+            if d:
+                positive.append((k, p, mu_sq, d))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_type2_keys", positive)
 
@@ -239,15 +255,15 @@ def type2_records(
     provider: DolbeaultProvider,
     r: Fraction,
     eps: Fraction,
-    m: int,
     k_range: tuple[int, int],
 ) -> list[EigRecord]:
     """The type-2 pairs of the keys (k, p, μ²) with k in k_range and a
     positive alternating multiplicity, one pair per key, in the order of
     their first entries (a repeated key is paired once, with the multiplicity
-    its first entry gives).  The provider checked every key when it was
-    built; only the keys inside the range reach the pair function."""
-    pair = _type2_pairs(r, eps, m)
+    its first entry gives), for the provider's base dimension m.  The provider
+    checked every key when it was built; only the keys inside the range reach
+    the pair function."""
+    pair = _type2_pairs(r, eps, provider.m)
     k_min, k_max = k_range
     records = []
     for k, p, mu_sq, mult in provider._type2_keys:
@@ -257,25 +273,6 @@ def type2_records(
         records.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))
         records.append(EigRecord(minus, mult, "type2minus", k, p, mu_sq))
     return records
-
-
-def alternating_multiplicity(
-    provider: DolbeaultProvider, k: int, p: int, mu_sq: Fraction
-) -> int:
-    """d^{p} = e^{p} - e^{p-1} + ... ± e^{0}, as d^{q} = e^{q} - d^{q-1};
-    negative values mean the provider is not a legal Dolbeault spectrum."""
-    total = 0
-    for q in range(p + 1):
-        total = provider.e(k, q, mu_sq) - total
-    _check_alternating(total, k, p, mu_sq)
-    return total
-
-
-def _check_alternating(total: int, k: int, p: int, mu_sq: Fraction) -> None:
-    if total < 0:
-        raise InvalidDolbeaultData(
-            f"alternating multiplicity {total} < 0 at (k={k}, p={p}, mu_sq={mu_sq})"
-        )
 
 
 def type1_zeros(g: Geometry, r: Fraction, eps: Fraction) -> list[tuple[int, int]]:

@@ -104,7 +104,7 @@ def test_spectrum_with_valid_dolbeault_data(tmp_path, capsys):
         "geometry": {"preset": "surface", "genus": 0, "degree": 1},
         "dolbeault": {
             "lower_bound": "1/2",
-            "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 3]],
+            "entries": [[0, 0, "1/2", 3], [0, 1, "1/2", 3]],
         },
     }))
     code, out, _ = _run(
@@ -152,25 +152,85 @@ def test_invalid_dolbeault_truly_negative(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidDolbeaultData"
 
 
-@pytest.mark.parametrize(
-    "mode, args",
-    [
-        ("exact", ("--r", "1/3", "--eps", "1/10")),
-        ("asymptotic", ("--r", "1/3", "--eps", "1/10")),
-        ("adiabatic", ("--r", "1/3")),
-        ("aps-check", ("--r0", "0", "--r1", "1/2", "--eps", "1/10")),
-    ],
-)
-def test_eta_refuses_invalid_dolbeault_data_in_every_mode(tmp_path, capsys, mode, args):
-    # d^1 = e^1 - e^0 = -1: no mode reads the block's values, but each refuses it
+# Dolbeault data that is no exact complex, each with its exit code and error
+_INVALID_DOLBEAULT = {
+    # d^1 = e^1 - e^0 = -1, with e^1 given as 0 or not given at all
+    "negative_d1": ([[0, 0, "1", 1], [0, 1, "1", 0]], 2, "InvalidDolbeaultData"),
+    "lone_p0": ([[0, 0, "1", 1]], 2, "InvalidDolbeaultData"),
+    # p = 5 is no form degree on a surface
+    "p_above_m": ([[0, 5, "1", 4]], 1, "UsageError"),
+    # every d^p >= 0, but d^1 = 2 at both keys: pairs at p = 1 = m do not exist
+    "top_degree": ([[0, 0, "1/2", 1], [0, 1, "1/2", 3], [1, 1, "3", 2]], 2,
+                   "InvalidDolbeaultData"),
+}
+_DOLBEAULT_COMMANDS = {
+    "spectrum": ("spectrum", "--r", "1/3", "--eps", "1/10", "--k-min", "-3", "--k-max", "3"),
+    "eta_exact": ("eta", "exact", "--r", "1/3", "--eps", "1/10"),
+    "eta_asymptotic": ("eta", "asymptotic", "--r", "1/3", "--eps", "1/10"),
+    "eta_adiabatic": ("eta", "adiabatic", "--r", "1/3"),
+    "eta_aps_check": ("eta", "aps-check", "--r0", "0", "--r1", "1/2", "--eps", "1/10"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DOLBEAULT_COMMANDS))
+@pytest.mark.parametrize("case", sorted(_INVALID_DOLBEAULT))
+def test_dolbeault_data_that_is_no_exact_complex_is_refused(tmp_path, capsys, case, command):
+    entries, exit_code, error = _INVALID_DOLBEAULT[case]
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "geometry": {"preset": "surface", "genus": 0, "degree": 1},
-        "dolbeault": {"lower_bound": "1", "entries": [[0, 0, "1", 1], [0, 1, "1", 0]]},
+        "dolbeault": {"lower_bound": "1/2", "entries": entries},
     }))
-    code, out, err = _run(capsys, "eta", mode, "--config", str(config), *args)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "InvalidDolbeaultData"
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    code, out, err = _run(
+        capsys, *_DOLBEAULT_COMMANDS[command], "--config", str(config), "--out", str(out_file)
+    )
+    assert (code, out) == (exit_code, "")
+    assert json.loads(err)["error"] == error
+    assert out_file.read_bytes() == b"earlier output\n"
+
+
+# Hodge data no manifold has: each is refused with exit 1 before any maths runs
+_INVALID_HODGE = {
+    "negative_table_value": ({
+        "geometry": {"m": 1, "top_integral": "1", "c1L": "1", "c1K": "-1", "tangent_roots": ["2"]},
+        "hodge": {"type": "table", "table": {"0,0": -3, "1,0": 1, "0,1": 1, "1,-1": 1}},
+    }, "h^(0,0) = -3"),
+    "negative_h00": ({"geometry": {"preset": "surface", "genus": 1, "degree": 2},
+                      "hodge": {"h00": -1}}, "h^(0,0) = -1"),
+    "h00_against_exceptional": ({"geometry": {"preset": "surface", "genus": 1, "degree": 2},
+                                 "hodge": {"h00": 1, "exceptional": {"0,0": 0}}}, "disagree"),
+    "table_p_above_m": ({"geometry": {"preset": "projective", "m": 2},
+                         "hodge": {"type": "hrr", "k0": 1, "table": {"3,0": 1}}}, "p=3"),
+}
+
+
+@pytest.mark.parametrize("command", [("eta", "exact"), ("flow",)], ids=["eta_exact", "flow"])
+@pytest.mark.parametrize("case", sorted(_INVALID_HODGE))
+def test_hodge_data_no_manifold_has_is_refused(tmp_path, capsys, case, command):
+    cfg, detail = _INVALID_HODGE[case]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    code, out, err = _run(
+        capsys, *command, "--config", str(config), "--r", "1/3", "--eps", "1/10",
+        "--out", str(out_file),
+    )
+    assert (code, out) == (1, "")
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and detail in record["detail"]
+    assert out_file.read_bytes() == b"earlier output\n"
+
+
+def test_negative_h00_flag_is_refused(capsys):
+    code, out, err = _run(
+        capsys, "eta", "exact", "--preset", "surface", "--genus", "1", "--degree", "2",
+        "--h00", "-1", "--r", "1/3", "--eps", "1/10",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "UsageError"
 
 
 def test_validity_flag_false_in_output(tmp_path, capsys):
@@ -802,9 +862,9 @@ def test_spectrum_dump_is_byte_identical_to_a_reference_from_the_records(fmt, tm
     ]) == 0
 
     g = surface_geometry(2, 3)
-    provider = DolbeaultProvider(tuple(entries), lower)
+    provider = DolbeaultProvider(tuple(entries), lower, 1)
     records = (type1_eigenvalues(g, SurfaceHodge(2, 3, 1), r, eps, (-1500, 1500))
-               + type2_records(provider, r, eps, 1, (-1500, 1500)))
+               + type2_records(provider, r, eps, (-1500, 1500)))
     records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
     assert len(records) > 4000 and any(rec.value.b for rec in records)
     rows = [
@@ -986,12 +1046,14 @@ _TEMPLATE_CASES = {
     # p = 0 values k - ε/2 - r = k - 3 are integers, written "n" (not "n/1"),
     # and negative for k < 3
     "integer_values": ([*_SURFACE_01, "--r", "59/20", "--eps", "1/10"], None),
-    # m = 2, with type-2 pairs for p = 0, 1 and 2; the μ² 3 (a JSON integer) and "4" are integers
+    # m = 2, with type-2 pairs for p = 0 and 1 and none at p = m; the μ² 3 (a
+    # JSON integer) and "4" are integers
     "m2": (["--preset", "projective", "--m", "2", "--r", "2/3", "--eps", "1/5"], {
         "hodge": {"type": "table",
                   "table": {f"{p},{k}": (p + k) % 3 for p in range(3) for k in range(-3, 4)}},
         "dolbeault": {"lower_bound": "1/5", "entries": [
-            [0, 0, 3, 1], [0, 1, 3, 2], [0, 2, 3, 4], [1, 0, "4", 2], [-2, 1, "7/3", 1],
+            [0, 0, 3, 1], [0, 1, 3, 2], [0, 2, 3, 1], [1, 0, "4", 2], [1, 1, "4", 2],
+            [-2, 1, "7/3", 1], [-2, 2, "7/3", 1],
         ]},
     }),
     # δ = 4εμ² at r = 0, k = 0, p = 0: a perfect square for μ² = 5/2 (δ = 1)
@@ -999,6 +1061,7 @@ _TEMPLATE_CASES = {
     "rational_pairs": ([*_SURFACE_01, "--r", "0", "--eps", "1/10"], {
         "dolbeault": {"lower_bound": "1/2", "entries": [
             [0, 0, "5/2", 1], [0, 0, "10", 2], [1, 0, "7/9", 3], [-3, 0, "2", 1],
+            [0, 1, "5/2", 1], [0, 1, "10", 2], [1, 1, "7/9", 3], [-3, 1, "2", 1],
         ]},
     }),
     "no_type2": (["--preset", "surface", "--genus", "2", "--degree", "3", "--h00", "1",
@@ -1027,10 +1090,10 @@ def test_spectrum_rows_match_json_dumps_and_csv_writer(case, fmt, tmp_path):
     args = cli.build_parser().parse_args(argv)
     cfg, g, hp = cli._load_inputs(args)
     r, eps = Fraction(args.r), Fraction(args.eps)
-    provider = cli._build_dolbeault(cfg)
+    provider = cli._build_dolbeault(cfg, g.m)
     records = type1_eigenvalues(g, hp, r, eps, (-3, 3))
     if provider is not None:
-        records += type2_records(provider, r, eps, g.m, (-3, 3))
+        records += type2_records(provider, r, eps, (-3, 3))
     records.sort(key=lambda rec: (rec.k, rec.p, rec.tag))
     assert records
     header = ["tag", "k", "p", "multiplicity", "a", "b", "d", "mu_sq"]
@@ -1057,7 +1120,7 @@ def test_spectrum_rows_match_json_dumps_and_csv_writer(case, fmt, tmp_path):
     if case == "rational_pairs":
         assert any(rec.tag != "type1" and rec.value.b == 0 for rec in records)
     if case == "m2":
-        assert {rec.p for rec in records if rec.tag != "type1"} == {0, 1, 2}
+        assert {rec.p for rec in records if rec.tag != "type1"} == {0, 1}
         assert any(rec.mu_sq is not None and rec.mu_sq.denominator == 1 for rec in records)
     if case == "no_type2":
         assert all(rec.tag == "type1" for rec in records)

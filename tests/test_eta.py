@@ -273,7 +273,9 @@ def test_asymptotic_cost_does_not_depend_on_r():
 def test_validity_flag_reflects_epsilon_regime():
     g, hp = _genus0(1)
     provider = DolbeaultProvider(
-        entries=((0, 0, Fraction(1, 100), 1),), lower_bound=Fraction(1, 100)
+        entries=((0, 0, Fraction(1, 100), 1), (0, 1, Fraction(1, 100), 1)),
+        lower_bound=Fraction(1, 100),
+        m=1,
     )
     ok = exact_eta(g, hp, Fraction(1, 3), Fraction(1, 20), provider=provider)
     assert ok.validity_flag

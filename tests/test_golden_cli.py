@@ -26,7 +26,7 @@ CONFIGS = {
         "geometry": {"preset": "surface", "genus": 0, "degree": 1},
         "dolbeault": {
             "lower_bound": "1/2",
-            "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 3], [1, 1, "3", 2]],
+            "entries": [[0, 0, "1/2", 1], [0, 1, "1/2", 1], [1, 0, "3", 2], [1, 1, "3", 2]],
         },
     },
     # at r = 0, eps = 1/10 the type-2 discriminant is 1, so the pair is rational

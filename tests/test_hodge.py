@@ -126,3 +126,48 @@ def test_table_provider_duality_fallback():
     assert hp.h(1, -1) == 4
     with pytest.raises(UnknownHodgeData):
         hp.h(0, 2)
+
+
+def test_declared_values_are_checked_when_a_provider_is_built():
+    from etaforge.cohomology import projective_like_geometry
+
+    # a negative value, or a p outside 0..m, describes no manifold
+    for build in (
+        lambda: TableHodge(1, {(0, 0): -3}),
+        lambda: TableHodge(2, {(3, 0): 1}),
+        lambda: TableHodge(2, {(-1, 0): 1}),
+        lambda: HrrVanishingHodge(projective_like_geometry(2), k0=1, table={(0, 0): -1}),
+        lambda: HrrVanishingHodge(projective_like_geometry(2), k0=1, table={(3, 0): 1}),
+        lambda: SurfaceHodge(genus=1, degree=2, h00=-1),
+        lambda: SurfaceHodge(genus=0, degree=1, h00=-1),
+        lambda: SurfaceHodge(genus=2, degree=1, exceptional_table={(2, 0): 1}),
+        lambda: SurfaceHodge(genus=2, degree=1, exceptional_table={(1, 1): -1}),
+    ):
+        with pytest.raises(UsageError):
+            build()
+
+
+def test_surface_h00_is_the_declared_value_at_0_0():
+    with pytest.raises(UsageError, match="disagree"):
+        SurfaceHodge(genus=1, degree=2, h00=1, exceptional_table={(0, 0): 0})
+    # an agreeing declaration, or one only in the table, is the same data
+    for hp in (
+        SurfaceHodge(genus=1, degree=2, h00=1, exceptional_table={(0, 0): 1}),
+        SurfaceHodge(genus=1, degree=2, exceptional_table={(0, 0): 1}),
+        SurfaceHodge(genus=1, degree=2, exceptional_table={(1, 0): 1}),
+    ):
+        assert hp.h(0, 0) == hp.h(1, 0) == 1
+
+
+def test_surface_reads_a_declared_p1_value_through_duality():
+    hp = SurfaceHodge(2, 1, h00=1, exceptional_table={(1, 1): 7})
+    assert hp.h(1, 1) == 7
+    assert hp.h(0, -1) == 7  # h^{0,-1} = h^{1,1}
+    with pytest.raises(UnknownHodgeData):
+        hp.h(0, 1)
+    # Riemann-Roch reads a p = 1 value at -k: h^{1,-1} = h^{0,1} = 0 and
+    # h^{0,-1} = 0 differ by 0, not by kl = 1
+    with pytest.raises(UsageError, match="Riemann-Roch"):
+        SurfaceHodge(genus=2, degree=1, exceptional_table={(1, -1): 0, (0, -1): 0})
+    consistent = SurfaceHodge(genus=2, degree=1, exceptional_table={(1, -1): 1, (1, 1): 0})
+    assert consistent.h(0, 1) - consistent.h(0, -1) == 1

@@ -24,7 +24,7 @@ Geometry HodgeProvider HrrVanishingHodge InvalidDolbeaultData KahlerModel
 LaplaceCheck ModelPoint NearZeroBound NoConsistentConvention
 ProviderConsistencyError QuadSurd ScalarForm SeriesDomainError SurfaceHodge
 TableHodge TruncSeries UnknownHodgeData UsageError adiabatic_limit
-alternating_multiplicity aps_difference_check asymptotic_eta build_tensors
+aps_difference_check asymptotic_eta build_tensors
 calibrate cohomology constant_curvature_block errors eta exact_eta
 finite_eta_partial flow flow_in_delta_closed flow_in_delta_oracle
 flow_in_s_oracle forms fractional_part hodge hrr_chi

@@ -17,7 +17,6 @@ from etaforge.spectrum import (
     DolbeaultProvider,
     EigRecord,
     QuadSurd,
-    alternating_multiplicity,
     finite_eta_partial,
     kernel_dimension,
     type1_eigenvalues,
@@ -125,19 +124,24 @@ def test_dolbeault_lookup_first_entry_wins_and_missing_is_zero():
             (0, 0, Fraction(2), 3),
             (1, 0, Fraction(2), 4),
             (0, 0, Fraction(2), 7),
-            (0, 1, Fraction(5, 2), 1),
+            (0, 1, Fraction(2), 3),
+            (1, 1, Fraction(2), 4),
+            (0, 1, Fraction(5, 2), 0),
         ),
         lower_bound=Fraction(1),
+        m=1,
     )
     assert provider.e(0, 0, Fraction(2)) == 3
     assert provider.e(0, 0, 2) == 3  # an equal int key finds the Fraction entry
     assert provider.e(1, 0, Fraction(2)) == 4
-    assert provider.e(0, 1, Fraction(5, 2)) == 1
-    assert provider.e(0, 1, Fraction(2)) == 0
+    assert provider.e(0, 1, Fraction(2)) == 3
+    assert provider.e(0, 1, Fraction(5, 2)) == 0
+    assert provider.e(0, 0, Fraction(5, 2)) == 0
     assert provider.e(2, 0, Fraction(2)) == 0
 
 
 def test_alternating_multiplicity_and_invalid_data():
+    # e = (3, 5, 2) on m = 2: d^0 = 3, d^1 = 2, d^2 = 0, so pairs at p = 0, 1
     good = DolbeaultProvider(
         entries=(
             (0, 0, Fraction(2), 3),
@@ -145,28 +149,60 @@ def test_alternating_multiplicity_and_invalid_data():
             (0, 2, Fraction(2), 2),
         ),
         lower_bound=Fraction(1),
+        m=2,
     )
-    assert alternating_multiplicity(good, 0, 0, Fraction(2)) == 3
-    assert alternating_multiplicity(good, 0, 1, Fraction(2)) == 2
-    assert alternating_multiplicity(good, 0, 2, Fraction(2)) == 0
+    recs = type2_records(good, Fraction(0), Fraction(1, 10), (0, 0))
+    assert [(rec.p, rec.tag, rec.multiplicity) for rec in recs] == [
+        (0, "type2plus", 3), (0, "type2minus", 3), (1, "type2plus", 2), (1, "type2minus", 2),
+    ]
     # d^1 = 1 - 3 < 0: the provider refuses the data when it is built
-    with pytest.raises(InvalidDolbeaultData):
+    with pytest.raises(InvalidDolbeaultData, match="d\\^1 = -2"):
         DolbeaultProvider(
             entries=((0, 0, Fraction(2), 3), (0, 1, Fraction(2), 1)),
             lower_bound=Fraction(1),
+            m=1,
         )
-    # a key with no entry of its own is checked when it is asked for
-    lone = DolbeaultProvider(entries=((0, 0, Fraction(2), 3),), lower_bound=Fraction(1))
-    with pytest.raises(InvalidDolbeaultData):
-        alternating_multiplicity(lone, 0, 1, Fraction(2))
+    # a p with no entry has e^p = 0: a lone p = 0 entry leaves d^1 = -3
+    with pytest.raises(InvalidDolbeaultData, match="d\\^1 = -3"):
+        DolbeaultProvider(entries=((0, 0, Fraction(2), 3),), lower_bound=Fraction(1), m=1)
+    # e = (3, 3, 2) on m = 2: d^0 = 3 and d^1 = 0, but d^2 = 2 != 0
+    with pytest.raises(InvalidDolbeaultData, match="d\\^2 = 2"):
+        DolbeaultProvider(
+            entries=((0, 0, Fraction(2), 3), (0, 1, Fraction(2), 3), (0, 2, Fraction(2), 2)),
+            lower_bound=Fraction(1),
+            m=2,
+        )
+
+
+@pytest.mark.parametrize(
+    "entries, m, error, detail",
+    [
+        # every d^p >= 0, but d^1 = 3 - 1 = 2 is not 0 at the top degree m = 1
+        (((0, 0, Fraction(1, 2), 1), (0, 1, Fraction(1, 2), 3), (1, 1, Fraction(3), 2)), 1,
+         InvalidDolbeaultData, "d^1 = 2"),
+        # only e^1 given: d^0 = 0, d^1 = 2
+        (((1, 1, Fraction(3), 2),), 1, InvalidDolbeaultData, "d^1 = 2"),
+        # a lone p = 0 entry: d^1 = -1
+        (((0, 0, Fraction(1), 1),), 1, InvalidDolbeaultData, "d^1 = -1"),
+        # p = 5 on a surface, and p = -1 anywhere, is no form degree
+        (((0, 5, Fraction(1), 4),), 1, UsageError, "p=5 outside 0..1"),
+        (((0, 0, Fraction(1), 0), (0, -1, Fraction(1), 0)), 3, UsageError, "p=-1 outside 0..3"),
+    ],
+    ids=["top_degree", "only_p1", "lone_p0", "p_above_m", "p_negative"],
+)
+def test_dolbeault_data_that_is_no_exact_complex_is_refused(entries, m, error, detail):
+    with pytest.raises(error) as info:
+        DolbeaultProvider(entries, Fraction(1, 2), m)
+    assert detail in str(info.value)
 
 
 def test_type2_records_drop_zero_alternating_multiplicity():
     provider = DolbeaultProvider(
         entries=((1, 0, Fraction(3), 2), (1, 1, Fraction(3), 2)),
         lower_bound=Fraction(1),
+        m=1,
     )
-    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (1, 1))
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), (1, 1))
     # p=0: d = 2 -> one pair; p=1: d = 0 -> dropped
     assert len(recs) == 2
     assert {rec.tag for rec in recs} == {"type2plus", "type2minus"}
@@ -182,18 +218,23 @@ def test_type2_records_pair_a_repeated_key_once():
             (2, 0, Fraction(3), 2),
             (0, 0, Fraction(1), 2),
             (2, 0, Fraction(3), 5),
+            (0, 1, Fraction(1), 1),
+            (2, 1, Fraction(3), 2),
         ),
         lower_bound=Fraction(1),
+        m=1,
     )
-    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (0, 2))
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), (0, 2))
     assert [(rec.k, rec.tag, rec.multiplicity) for rec in recs] == [
         (0, "type2plus", 1), (0, "type2minus", 1), (2, "type2plus", 2), (2, "type2minus", 2),
     ]
 
 
 def test_type2_records_outside_the_k_range_make_no_pair_but_are_validated(monkeypatch):
-    entries = ((0, 0, Fraction(3), 1), (5, 0, Fraction(3), 2), (-5, 0, Fraction(3), 1))
-    provider = DolbeaultProvider(entries, lower_bound=Fraction(1))
+    entries = tuple(
+        (k, p, Fraction(3), e) for k, e in ((0, 1), (5, 2), (-5, 1)) for p in (0, 1)
+    )
+    provider = DolbeaultProvider(entries, lower_bound=Fraction(1), m=1)
     paired = []
     real_pairs = spectrum_mod._type2_pairs
 
@@ -207,17 +248,19 @@ def test_type2_records_outside_the_k_range_make_no_pair_but_are_validated(monkey
         return counted
 
     monkeypatch.setattr(spectrum_mod, "_type2_pairs", counting_pairs)
-    recs = type2_records(provider, Fraction(0), Fraction(1, 10), 1, (0, 4))
+    recs = type2_records(provider, Fraction(0), Fraction(1, 10), (0, 4))
     assert [(rec.k, rec.tag) for rec in recs] == [(0, "type2plus"), (0, "type2minus")]
     assert paired == [0]
     # d^1 = e^1 - e^0 = -2 at k = 5, outside any k-range: still refused
     with pytest.raises(InvalidDolbeaultData):
-        DolbeaultProvider(entries + ((5, 1, Fraction(3), 0),), lower_bound=Fraction(1))
+        DolbeaultProvider(entries + ((5, 0, Fraction(4), 2),), lower_bound=Fraction(1), m=1)
 
 
 def test_validate_epsilon_threshold():
     provider = DolbeaultProvider(
-        entries=((0, 0, Fraction(1, 100), 1),), lower_bound=Fraction(1, 100)
+        entries=((0, 0, Fraction(1, 100), 1), (0, 1, Fraction(1, 100), 1)),
+        lower_bound=Fraction(1, 100),
+        m=1,
     )
     assert validate_epsilon(Fraction(1, 100), provider)
     assert not validate_epsilon(Fraction(2), provider)
@@ -313,30 +356,34 @@ def test_type1_matches_a_reference_built_through_make(m, r_eps, k_min, width, rn
     st.lists(
         st.tuples(
             st.integers(-6, 6),
-            st.integers(0, 2),
             # squares among the μ² values make some discriminants perfect squares
             st.sampled_from([Fraction(1, 4), Fraction(5, 2), Fraction(9, 4), Fraction(3), Fraction(49, 10)])
             | st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=13),
-            st.integers(0, 3),
+            st.lists(st.integers(0, 3), min_size=3, max_size=3),
         ),
-        max_size=25,
+        max_size=12,
     ),
     st.integers(-8, 8),
     st.integers(0, 14),
     st.randoms(use_true_random=False),
 )
-def test_type2_records_match_a_reference_built_through_make(m, r_eps, entries, k_min, width, rng):
+def test_type2_records_match_a_reference_built_through_make(m, r_eps, keys, k_min, width, rng):
     r, eps = r_eps
-    # e^p >= e^{p-1} on each (k, μ²) keeps every alternating sum legal
-    legal = {}
-    for k, p, mu_sq, e in sorted(entries, key=lambda entry: entry[1]):
-        legal[(k, p, mu_sq)] = e + sum(v for (k2, _, mu2), v in legal.items() if (k2, mu2) == (k, mu_sq))
-    shuffled = [(k, p, mu_sq, e) for (k, p, mu_sq), e in legal.items()]
-    rng.shuffle(shuffled)
-    provider = DolbeaultProvider(tuple(shuffled), Fraction(1, 4))
+    # an exact complex on each (k, μ²): d^0..d^{m-1} >= 0 drawn, d^m = 0, and
+    # e^p = d^{p-1} + d^p; the drawn d^p are the reference multiplicities
+    drawn = {}
+    for k, mu_sq, ds in keys:
+        drawn.setdefault((k, mu_sq), ds[:m] + [0])
+    entries = [
+        (k, p, mu_sq, (ds[p - 1] if p else 0) + ds[p])
+        for (k, mu_sq), ds in drawn.items()
+        for p in range(m + 1)
+    ]
+    rng.shuffle(entries)
+    provider = DolbeaultProvider(tuple(entries), Fraction(1, 4), m)
     reference = []
-    for k, p, mu_sq, _ in provider.entries:
-        mult = alternating_multiplicity(provider, k, p, mu_sq)
+    for k, p, mu_sq, _ in entries:
+        mult = drawn[(k, mu_sq)][p]
         if mult == 0 or not k_min <= k <= k_min + width:
             continue
         trace_half = Fraction((-1) ** (p + 1)) * eps / 2
@@ -346,8 +393,9 @@ def test_type2_records_match_a_reference_built_through_make(m, r_eps, entries, k
         assert (plus, minus) == type2_eigenvalues(k, p, mu_sq, r, eps, m)
         reference.append(EigRecord(plus, mult, "type2plus", k, p, mu_sq))
         reference.append(EigRecord(minus, mult, "type2minus", k, p, mu_sq))
-    records = type2_records(provider, r, eps, m, (k_min, k_min + width))
+    records = type2_records(provider, r, eps, (k_min, k_min + width))
     assert records == reference
+    assert all(rec.p < m for rec in records)
     assert _printed(records) == _printed(reference)
     assert all(_exact_fields(rec) for rec in records)
 
