@@ -30,7 +30,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict
 from fractions import Fraction
 from operator import attrgetter
 
@@ -247,8 +246,9 @@ def _output(path: str | None):
 
 def _exact_rational(value) -> str:
     """The encoder's hook for values JSON has no type for: an exact rational
-    is written as its "p/q" string, and anything else (a QuadSurd, a
-    dataclass) is refused rather than written as its repr."""
+    is written as its "p/q" string, and anything else (a GaussRat, a set) is
+    refused rather than written as its repr.  A record is a tuple, which JSON
+    writes as a list, so the commands pass each one as its _asdict()."""
     if type(value) is Fraction:
         return str(value)
     raise TypeError(f"cannot write a {type(value).__name__} as JSON")
@@ -300,7 +300,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
     # only the exact value reads it (for its validity flag)
     provider = _build_dolbeault(cfg, g.m)
     mode = args.eta_mode
-    record = {"command": f"eta {mode}", "geometry": g.label, "conventions": asdict(conv)}
+    record = {"command": f"eta {mode}", "geometry": g.label, "conventions": conv._asdict()}
     # the adiabatic limit does not depend on eps, so that mode does not read it
     if mode != "adiabatic":
         record["eps"] = eps = _param(args, cfg, "eps", _rat, required=True)
@@ -309,7 +309,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
         r0 = _param(args, cfg, "r0", _rat, required=True)
         r1 = _param(args, cfg, "r1", _rat, required=True)
         check = aps_difference_check(g, hp, r0, r1, eps, conv)
-        record.update(r0=r0, r1=r1, **asdict(check))
+        record.update(r0=r0, r1=r1, **check._asdict())
         exit_code = 0 if check.passed else 3
     else:
         record["r"] = r = _param(args, cfg, "r", _rat, required=True)
@@ -325,8 +325,9 @@ def cmd_eta(args: argparse.Namespace) -> int:
                 raise CrossCheckFailed(
                     f"delta-flow closed form {result.flow_term} != oracle {oracle.net}"
                 )
-            # asdict(result) holds conv again under "conventions"
-            record.update(asdict(result), unreduced=result.unreduced)
+            record.update(
+                result._asdict(), conventions=conv._asdict(), unreduced=result.unreduced
+            )
             record["validityFlag"] = record.pop("validity_flag")
     _emit(record, args.out)
     return exit_code
@@ -399,7 +400,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             "r": r,
             "closed": closed,
             "oracle_net": oracle.net,
-            "crossings": [vars(c) for c in oracle.crossings],
+            "crossings": [c._asdict() for c in oracle.crossings],
             "agree": closed == oracle.net,
         }
         if closed != oracle.net:
@@ -412,7 +413,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             "r0": r0,
             "r1": r1,
             "net": result.net,
-            "crossings": [vars(c) for c in result.crossings],
+            "crossings": [c._asdict() for c in result.crossings],
         }
 
     if "delta_flow" not in payload and "s_flow" not in payload:
@@ -457,12 +458,12 @@ def cmd_measure(args: argparse.Namespace) -> int:
     for pt in points:
         check_lattice_size(pt, max([s_max / t for t in t_values] + eps_supports, default=0.0))
     laplace_rows = [
-        {"n": pt.n, "lambdas": list(pt.lambdas), "t": t, **asdict(laplace_check(pt, t, s_max / t))}
+        {"n": pt.n, "lambdas": list(pt.lambdas), "t": t, **laplace_check(pt, t, s_max / t)._asdict()}
         for pt in points
         for t in t_values
     ]
     near_rows = [
-        {"n": pt.n, "lambdas": list(pt.lambdas), "eps_support": e, **asdict(near_zero_bound(pt, e))}
+        {"n": pt.n, "lambdas": list(pt.lambdas), "eps_support": e, **near_zero_bound(pt, e)._asdict()}
         for pt in points
         for e in eps_supports
     ]
@@ -503,8 +504,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate()
     path = args.conventions or "conventions.json"
-    _emit(asdict(result.conventions), path)
-    _emit({"command": "calibrate", **asdict(result), "persisted_to": path}, args.out)
+    payload = {"command": "calibrate", **result._asdict(), "persisted_to": path}
+    payload["conventions"] = payload["conventions"]._asdict()
+    _emit(payload["conventions"], path)
+    _emit(payload, args.out)
     return 0
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UsageError
 from .scalars import TruncSeries, universal_series
@@ -36,10 +35,7 @@ def _check_base_dimension(m: int) -> None:
         raise UsageError(f"base dimension m={m} is above the limit {_MAX_BASE_DIMENSION}")
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Chern data of the base: dimension, normalization, L, K and tangent roots."""
-
+class _GeometryFields(NamedTuple):
     m: int
     top_integral: Fraction
     c1L: Fraction                      # coefficient of u in c₁(L)
@@ -47,7 +43,14 @@ class Geometry:
     tangent_roots: tuple[Fraction, ...]  # coefficients of u, length m
     label: str = ""
 
-    def __post_init__(self) -> None:
+
+class Geometry(_GeometryFields):
+    """Chern data of the base: dimension, normalization, L, K and tangent roots."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Geometry:
+        self = super().__new__(cls, *args, **kwargs)
         _check_base_dimension(self.m)
         if len(self.tangent_roots) != self.m:
             raise UsageError("need exactly m tangent Chern roots")
@@ -55,6 +58,7 @@ class Geometry:
             raise UsageError(
                 "spin condition violated: 2·c1K must equal -(sum of tangent roots)"
             )
+        return self
 
 
 def surface_geometry(genus: int, degree: int) -> Geometry:

@@ -34,9 +34,8 @@ Every piece is a plain rational; no formal parameter is carried.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cohomology import (
     Geometry,
@@ -62,17 +61,22 @@ from .scalars import (
 from .spectrum import DolbeaultProvider, kernel_dimension, type1_zeros, validate_epsilon
 
 
-@dataclass(frozen=True)
-class ConventionSet:
+class _ConventionFields(NamedTuple):
     sign_c: int                      # ±1, orientation of the class dictionary
     flow_factor: int                 # 1 or 2, multiplies (flow + transgression)
     transgression_scale: Fraction    # rational normalization of the transgression
 
-    def __post_init__(self) -> None:
+
+class ConventionSet(_ConventionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ConventionSet:
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign_c not in (1, -1):
             raise UsageError("sign_c must be ±1")
         if self.flow_factor not in (1, 2):
             raise UsageError("flow_factor must be 1 or 2")
+        return self
 
 
 # Output of calibrate() on the default suite; tests re-derive it.
@@ -81,8 +85,7 @@ DEFAULT_CONVENTIONS = ConventionSet(
 )
 
 
-@dataclass(frozen=True)
-class EtaValue:
+class EtaValue(NamedTuple):
     value: Fraction
     adiabatic_limit: Fraction
     flow_term: Fraction
@@ -228,8 +231,7 @@ def _power_sum(a: int, n: int) -> Fraction:
     return sum(terms) / (a + 1)
 
 
-@dataclass(frozen=True)
-class ApsCheck:
+class ApsCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     passed: bool
@@ -272,8 +274,7 @@ def aps_difference_check(
     return ApsCheck(lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     conventions: ConventionSet
     t1_ok: bool
     t2_ok: bool

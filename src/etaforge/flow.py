@@ -15,16 +15,15 @@ flat in the parameter (p = m/2) never contribute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohomology import Geometry
 from .errors import UsageError
 from .hodge import HodgeProvider
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     parameter_value: Fraction
     k: int
     p: int
@@ -32,8 +31,7 @@ class Crossing:
     direction: int  # +1 upward through zero, -1 downward
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     net: int
     crossings: tuple[Crossing, ...]
 

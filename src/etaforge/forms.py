@@ -13,19 +13,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Gaussian rational re + im·i with exact components."""
+    """Gaussian rational re + im·i with exact components.  A number, not a
+    tuple: no sequence operation can reach its arithmetic."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)) -> None:
+        self.re, self.im = re, im
+
+    def __repr__(self) -> str:
+        return f"GaussRat({self.re!r}, {self.im!r})"
 
     @staticmethod
     def coerce(x: "GaussLike") -> "GaussRat":
@@ -310,8 +314,7 @@ class EndForm:
         )
 
 
-@dataclass(frozen=True)
-class KahlerModel:
+class KahlerModel(NamedTuple):
     """Model tangent space: horizontal pairs (e_i, f_i) with the standard
     complex rotation, optionally one vertical direction as the last basis
     vector.  Metric is the identity; ω(X, Y) = g(JX, Y)."""
@@ -412,8 +415,7 @@ def constant_curvature_block(model: KahlerModel, kappa: Fraction) -> EndForm:
     return EndForm(2, n, n, values)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Named pass/fail checks of one identity or trace-expansion suite."""
 
     checks: tuple[tuple[str, bool], ...]

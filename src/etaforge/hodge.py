@@ -9,7 +9,6 @@ raised (never a silent default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .cohomology import Geometry, hrr_chi
@@ -46,29 +45,37 @@ class HodgeProvider:
         raise UnknownHodgeData(f"h^({p},{k}) is not declared, nor its Serre dual")
 
 
-@dataclass
 class SurfaceHodge(HodgeProvider):
     """Genus-g surface, degree-l bundle; h00, the declared h^{0,0} (theta
-    characteristic), and any other exceptional-range values are caller-declared."""
+    characteristic), and any other exceptional-range values are caller-declared.
+    A value declared in a vanishing range must be the one it follows from."""
 
-    genus: int
-    degree: int
-    h00: int | None = None
-    exceptional_table: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    m: int = field(default=1, init=False)
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(
+        self,
+        genus: int,
+        degree: int,
+        h00: int | None = None,
+        exceptional_table: Mapping[tuple[int, int], int] | None = None,
+    ) -> None:
+        if degree < 1:
             raise UsageError("surface provider requires degree >= 1")
-        declared = dict(self.exceptional_table)
-        if self.h00 is not None and declared.setdefault((0, 0), self.h00) != self.h00:
+        self.genus, self.degree, self.m = genus, degree, 1
+        declared = dict(exceptional_table or {})
+        if h00 is not None and declared.setdefault((0, 0), h00) != h00:
             raise UsageError(
-                f"h00 = {self.h00} and the exceptional h^(0,0) = {declared[(0, 0)]} disagree"
+                f"h00 = {h00} and the exceptional h^(0,0) = {declared[(0, 0)]} disagree"
             )
         self._declare(declared)
-        # Riemann-Roch: h^{0,j} - h^{0,-j} = jl wherever both sides are known,
-        # with j = k at a declared (0, k) and j = -k at a declared (1, k)
-        for p, k in declared:
+        # h reads a declared value only in the exceptional range, so a value
+        # it does not return contradicts Riemann-Roch and vanishing there;
+        # and h^{0,j} - h^{0,-j} = jl wherever both sides are known, with
+        # j = k at a declared (0, k) and j = -k at a declared (1, k)
+        for (p, k), value in declared.items():
+            if self.h(p, k) != value:
+                raise UsageError(
+                    f"h^({p},{k}) = {value} is declared in a vanishing range, where it is "
+                    f"{self.h(p, k)}"
+                )
             j = k if p == 0 else -k
             try:
                 lhs, rhs = self.h(0, j), self.h(0, -j)
@@ -91,21 +98,18 @@ class SurfaceHodge(HodgeProvider):
         return self._declared(p, k)
 
 
-@dataclass
 class HrrVanishingHodge(HodgeProvider):
     """Kodaira-vanishing provider: for k >= k0 only p=0 survives and equals
     the HRR Euler characteristic; k <= -k0 by duality; the strip in between
     comes from a declared table."""
 
-    geometry: Geometry
-    k0: int
-    table: Mapping[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.m = self.geometry.m
-        if self.k0 < 1:
+    def __init__(
+        self, geometry: Geometry, k0: int, table: Mapping[tuple[int, int], int] | None = None
+    ) -> None:
+        if k0 < 1:
             raise UsageError("k0 must be a positive integer")
-        self._declare(self.table)
+        self.geometry, self.k0, self.m = geometry, k0, geometry.m
+        self._declare({} if table is None else table)
 
     def _chi_at(self, k: int) -> int:
         value = sum(c * k**a for a, c in enumerate(hrr_chi(self.geometry)))
@@ -130,15 +134,12 @@ class HrrVanishingHodge(HodgeProvider):
         return self._declared(p, k)
 
 
-@dataclass
 class TableHodge(HodgeProvider):
     """Explicit table with Serre-duality fallback."""
 
-    m: int
-    table: Mapping[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        self._declare(self.table)
+    def __init__(self, m: int, table: Mapping[tuple[int, int], int]) -> None:
+        self.m = m
+        self._declare(table)
 
     def h(self, p: int, k: int) -> int:
         self._check_p(p)

@@ -14,7 +14,7 @@ misses the Laplace target by √π.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UsageError
 
@@ -24,12 +24,16 @@ from .errors import UsageError
 _MAX_LATTICE_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class _ModelPointFields(NamedTuple):
     n: int                      # odd ambient dimension
     lambdas: tuple[float, ...]  # positive rotation eigenvalues, length m_y
 
-    def __post_init__(self) -> None:
+
+class ModelPoint(_ModelPointFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ModelPoint:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n % 2 != 1 or self.n < 1:
             raise UsageError("ambient dimension n must be odd and positive")
         if not all(0 < l < math.inf for l in self.lambdas):
@@ -45,6 +49,7 @@ class ModelPoint:
             raise UsageError(
                 f"the weight of the point n={self.n} is not a positive finite float"
             )
+        return self
 
     @property
     def m_y(self) -> int:
@@ -110,8 +115,7 @@ def _gamma_p(n: int, x: float) -> float:
     return math.erf(math.sqrt(x)) - partial
 
 
-@dataclass(frozen=True)
-class LaplaceCheck:
+class LaplaceCheck(NamedTuple):
     measured: float
     target: float
     rel_error: float
@@ -149,8 +153,7 @@ def laplace_check(pt: ModelPoint, t: float, s_max: float) -> LaplaceCheck:
     return LaplaceCheck(measured, target, rel, tail)
 
 
-@dataclass(frozen=True)
-class NearZeroBound:
+class NearZeroBound(NamedTuple):
     value: float
     ratio: float
 

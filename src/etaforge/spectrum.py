@@ -16,9 +16,8 @@ Dolbeault Laplacian eigenvalue (the Laplacian eigenvalue is μ²/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cohomology import Geometry
 from .errors import InvalidDolbeaultData, UsageError
@@ -59,8 +58,7 @@ def _surd_sign(a: Fraction, b: Fraction, d: Fraction) -> int:
     return sa if cmp > 0 else sb
 
 
-@dataclass(frozen=True, slots=True)
-class QuadSurd:
+class QuadSurd(NamedTuple):
     """Exact value a + b·sqrt(d) with rational a, b and d >= 0.
 
     Perfect-square radicands are normalized away so rational values always
@@ -90,8 +88,10 @@ class QuadSurd:
         return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
 
-@dataclass(frozen=True, slots=True)
-class EigRecord:
+class EigRecord(NamedTuple):
+    """One eigenvalue with its multiplicity (at least 1: the enumerators skip
+    a zero Hodge number and keep only a positive d^p)."""
+
     value: QuadSurd
     multiplicity: int
     tag: str  # "type1" | "type2plus" | "type2minus"
@@ -99,12 +99,7 @@ class EigRecord:
     p: int
     mu_sq: Fraction | None = None
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise UsageError("multiplicity must be >= 1")
 
-
-@dataclass(frozen=True)
 class DolbeaultProvider:
     """Declared Dolbeault data on an m-dimensional base: entries
     (k, p, μ², e_μ^{p,k}) with 0 <= p <= m, and a positive lower bound M on
@@ -118,16 +113,15 @@ class DolbeaultProvider:
     the data.  The keys with d^p > 0 are kept, in first-entry order.
     """
 
-    entries: tuple[tuple[int, int, Fraction, int], ...]
-    lower_bound: Fraction
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.lower_bound <= 0:
+    def __init__(
+        self, entries: tuple[tuple[int, int, Fraction, int], ...], lower_bound: Fraction, m: int
+    ) -> None:
+        if lower_bound <= 0:
             raise UsageError("lower bound M must be positive")
-        m, m_num, m_den = self.m, self.lower_bound.numerator, self.lower_bound.denominator
+        self.entries, self.lower_bound, self.m = entries, lower_bound, m
+        m_num, m_den = lower_bound.numerator, lower_bound.denominator
         index: dict[tuple[int, int, int, int], tuple[int, int, Fraction, int]] = {}
-        for entry in self.entries:
+        for entry in entries:
             k, p, mu_sq, e = entry
             s, t = mu_sq.numerator, mu_sq.denominator
             # μ² < M compared in integers; M > 0, so this catches μ² <= 0 too
@@ -140,8 +134,7 @@ class DolbeaultProvider:
             if not 0 <= p <= m:
                 raise UsageError(f"Dolbeault entry at p={p} outside 0..{m}")
             index.setdefault((k, p, s, t), entry)
-        # d^0..d^m of each (k, μ²), walked from the index when its first key is
-        # met: perfbench's tracer wraps e() and readies it after construction
+        # d^0..d^m of each (k, μ²), walked from the index when its first key is met
         d_at: dict[tuple[int, int, int, int], int] = {}
         positive = []
         for key, (k, p, mu_sq, _) in index.items():
@@ -163,8 +156,7 @@ class DolbeaultProvider:
                 d = d_at[key]
             if d:
                 positive.append((k, p, mu_sq, d))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_type2_keys", positive)
+        self._index, self._type2_keys = index, positive
 
     def e(self, k: int, p: int, mu_sq: Fraction) -> int:
         entry = self._index.get((k, p, mu_sq.numerator, mu_sq.denominator))

@@ -16,7 +16,7 @@ import etaforge.cli as cli
 import etaforge.eta as eta_mod
 from etaforge.cli import main
 from etaforge.errors import UsageError
-from etaforge.spectrum import QuadSurd
+from etaforge.forms import GaussRat
 
 
 _SURFACE_01 = ("--preset", "surface", "--genus", "0", "--degree", "1")
@@ -203,6 +203,11 @@ _INVALID_HODGE = {
                                  "hodge": {"h00": 1, "exceptional": {"0,0": 0}}}, "disagree"),
     "table_p_above_m": ({"geometry": {"preset": "projective", "m": 2},
                          "hodge": {"type": "hrr", "k0": 1, "table": {"3,0": 1}}}, "p=3"),
+    "h00_in_a_vanishing_range": ({"geometry": {"preset": "surface", "genus": 0, "degree": 1},
+                                  "hodge": {"h00": 5}}, "h^(0,0) = 5 is declared in a vanishing"),
+    "exceptional_in_a_vanishing_range": ({"geometry": {"preset": "surface", "genus": 0, "degree": 1},
+                                          "hodge": {"exceptional": {"0,5": 99}}},
+                                         "h^(0,5) = 99 is declared in a vanishing"),
 }
 
 
@@ -222,6 +227,24 @@ def test_hodge_data_no_manifold_has_is_refused(tmp_path, capsys, case, command):
     record = json.loads(err)
     assert record["error"] == "UsageError" and detail in record["detail"]
     assert out_file.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("h00, exit_code", [("5", 1), ("0", 0)])
+def test_h00_flag_against_a_vanishing_range(tmp_path, capsys, h00, exit_code):
+    """On genus 0, h^{0,0} vanishes: --h00 5 is refused before the --out file
+    is opened, and --h00 0, the value it follows from, is legal."""
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
+    code, out, err = _run(
+        capsys, "eta", "exact", *_SURFACE_01, "--h00", h00, "--r", "1/3", "--eps", "1/10",
+        "--out", str(out_file),
+    )
+    assert (code, out) == (exit_code, "")
+    if exit_code:
+        assert json.loads(err)["error"] == "UsageError"
+        assert out_file.read_bytes() == b"earlier output\n"
+    else:
+        assert json.loads(out_file.read_text())["kernel_dim"] == 0
 
 
 def test_negative_h00_flag_is_refused(capsys):
@@ -949,10 +972,12 @@ def test_spectrum_dump_label_cannot_split_the_records_list(tmp_path):
     assert out_file.read_text(encoding="utf-8") == expected
 
 
-@pytest.mark.parametrize("value", [QuadSurd.make(1), object()], ids=["quadsurd", "object"])
+@pytest.mark.parametrize("value", [GaussRat(Fraction(1)), object()], ids=["gaussrat", "object"])
 def test_a_value_json_has_no_type_for_is_refused(monkeypatch, tmp_path, value):
     """A value that is neither a Fraction nor JSON-native is a TypeError, not
-    its repr, and it is raised before the --out file is opened."""
+    its repr, and it is raised before the --out file is opened.  (A record
+    is a tuple, which JSON writes as a list: the commands convert records
+    with _asdict() before they reach the encoder.)"""
     monkeypatch.setattr(cli, "adiabatic_limit", lambda *a: [1, {"v": value}])
     out_file = tmp_path / "out.json"
     out_file.write_bytes(b"earlier output\n")

@@ -171,6 +171,38 @@ def test_index_integral_builds_chi_once_per_geometry():
     assert coh.hrr_chi(g) is coh.hrr_chi(g)
 
 
+def test_a_separately_built_equal_geometry_hits_the_cache():
+    """Geometry is a value: an equal copy compares and hashes equal, so the
+    per-geometry caches serve it."""
+    first, second = surface_geometry(2, 3), surface_geometry(2, 3)
+    assert first is not second and first == second and hash(first) == hash(second)
+    chi = hrr_chi(first)
+    hits = hrr_chi.cache_info().hits
+    assert hrr_chi(second) is chi
+    assert hrr_chi.cache_info().hits == hits + 1
+
+
+_GEOMETRY_FIELDS = ("m", "top_integral", "c1L", "c1K", "tangent_roots")
+
+
+@pytest.mark.parametrize("fields", [
+    (0, Fraction(1), Fraction(1), Fraction(0), ()),
+    (_MAX_BASE_DIMENSION + 1, Fraction(1), Fraction(1), Fraction(0), ()),
+    (1, Fraction(1), Fraction(1), Fraction(-1), (Fraction(1), Fraction(1))),
+    (1, Fraction(1), Fraction(1), Fraction(0), (Fraction(1),)),
+], ids=["m_zero", "m_above_limit", "root_count", "spin"])
+def test_geometry_refuses_bad_fields_by_position_and_by_keyword(fields):
+    for args, kwargs in (
+        (fields, {}),
+        ((), dict(zip(_GEOMETRY_FIELDS, fields))),
+        (fields[:2], dict(zip(_GEOMETRY_FIELDS[2:], fields[2:]))),
+    ):
+        with pytest.raises(UsageError):
+            Geometry(*args, **kwargs)
+    good = (1, Fraction(1), Fraction(1), Fraction(-1), (Fraction(2),))
+    assert Geometry(*good) == Geometry(**dict(zip(_GEOMETRY_FIELDS, good)), label="")
+
+
 def test_hrr_chi_matches_the_polynomial_in_k():
     """χ(k) = ∫ ch(K⊗L^k)·td at m + 1 integers k pins the degree-m polynomial
     whose coefficients hrr_chi reads off Â; td is the per-root product of the

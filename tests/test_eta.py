@@ -36,10 +36,13 @@ def _genus0(l=1):
 
 
 def test_convention_set_validation():
-    with pytest.raises(UsageError):
-        ConventionSet(0, 1, Fraction(1))
-    with pytest.raises(UsageError):
-        ConventionSet(1, 3, Fraction(1))
+    for sign_c, flow_factor in ((0, 1), (1, 3), (-1, 0)):
+        with pytest.raises(UsageError):
+            ConventionSet(sign_c, flow_factor, Fraction(1))
+        with pytest.raises(UsageError):
+            ConventionSet(sign_c=sign_c, flow_factor=flow_factor, transgression_scale=Fraction(1))
+        with pytest.raises(UsageError):
+            ConventionSet(sign_c, flow_factor=flow_factor, transgression_scale=Fraction(1))
 
 
 def test_adiabatic_genus0_piecewise_values():
@@ -286,6 +289,7 @@ def test_validity_flag_reflects_epsilon_regime():
 def test_calibrate_finds_the_unique_convention():
     result = calibrate()
     assert result.conventions == DEFAULT_CONVENTIONS
+    assert type(result.conventions) is type(DEFAULT_CONVENTIONS) is ConventionSet
     assert result.t1_ok and result.t2_ok and result.t3_ok
     assert result.candidates_checked == 24
     assert result.note == ""

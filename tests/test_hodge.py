@@ -159,6 +159,23 @@ def test_surface_h00_is_the_declared_value_at_0_0():
         assert hp.h(0, 0) == hp.h(1, 0) == 1
 
 
+def test_surface_refuses_a_declared_value_its_vanishing_ranges_contradict():
+    for build in (
+        lambda: SurfaceHodge(0, 1, h00=5),
+        lambda: SurfaceHodge(0, 1, exceptional_table={(0, 5): 99}),
+        lambda: SurfaceHodge(0, 1, exceptional_table={(1, -5): 99}),  # h^{1,-5} = h^{0,5} = 5
+        lambda: SurfaceHodge(2, 1, h00=1, exceptional_table={(1, 3): 1}),  # h^{1,3} = h^{0,-3} = 0
+    ):
+        with pytest.raises(UsageError, match="declared in a vanishing range"):
+            build()
+    # a declared value equal to the one it follows from is the same data
+    for hp in (
+        SurfaceHodge(0, 1, h00=0),
+        SurfaceHodge(0, 1, exceptional_table={(0, 5): 5, (1, 5): 0, (1, -5): 5}),
+    ):
+        assert (hp.h(0, 0), hp.h(0, 5), hp.h(1, 5), hp.h(1, -5)) == (0, 5, 0, 5)
+
+
 def test_surface_reads_a_declared_p1_value_through_duality():
     hp = SurfaceHodge(2, 1, h00=1, exceptional_table={(1, 1): 7})
     assert hp.h(1, 1) == 7

@@ -1,7 +1,8 @@
 """Lazy submodules: importing the package or running a command that needs
 neither ``forms`` nor ``measure`` must not load them (nor scipy), while every
 public name still resolves to the same object as before; and ``measure
-check`` loads nothing outside the standard library.
+check`` loads nothing outside the standard library.  No command loads
+``dataclasses``, whose import pulls in ``inspect``, ``ast`` and ``dis``.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -132,3 +133,36 @@ def test_dir_and_star_import_expose_the_same_public_names():
     listed, starred = _python(code)
     assert listed == PUBLIC_NAMES
     assert starred == PUBLIC_NAMES
+
+
+def _every_command(tmp_path) -> str:
+    """Code that runs every subcommand through ``etaforge.cli.main``, each
+    writing under ``tmp_path``, then prints which of ``dataclasses`` and
+    ``inspect`` are loaded."""
+    surface = ["--preset", "surface", "--genus", "0", "--degree", "1"]
+    commands = [
+        ["eta", "exact", *surface, "--r", "1/3", "--eps", "1/10"],
+        ["eta", "asymptotic", *surface, "--r", "1/3", "--eps", "1/10"],
+        ["eta", "adiabatic", *surface, "--r", "1/3"],
+        ["eta", "aps-check", *surface, "--r0", "1/3", "--r1", "5/4", "--eps", "1/10"],
+        ["spectrum", *surface, "--r", "1/3", "--eps", "1/10", "--k-min", "-3", "--k-max", "3"],
+        ["flow", *surface, "--r", "1/3", "--r0", "0", "--r1", "2", "--eps", "1/10"],
+        ["measure", "check"],
+        ["identities", "run"],
+        ["calibrate", "--conventions", str(tmp_path / "conventions.json")],
+    ]
+    return (
+        "import json, sys, etaforge.cli\n"
+        f"for n, argv in enumerate({commands!r}):\n"
+        f"    out = {str(tmp_path)!r} + f'/out{{n}}.json'\n"
+        "    assert etaforge.cli.main([*argv, '--out', out]) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)))"
+    )
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    assert _python(_every_command(tmp_path)) == []
+
+
+def test_no_command_loads_dataclasses_or_inspect_after_every_submodule(tmp_path):
+    assert _python("import etaforge, etaforge.forms, etaforge.measure\n" + _every_command(tmp_path)) == []

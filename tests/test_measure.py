@@ -25,14 +25,17 @@ CONFIGS = (
 
 
 def test_model_point_validation():
-    with pytest.raises(UsageError):
-        ModelPoint(2, ())
-    with pytest.raises(UsageError):
-        ModelPoint(3, (-1.0,))
-    with pytest.raises(UsageError):
-        ModelPoint(3, (1.0, 2.0))  # 2·2 + 1 > 3
+    # 2·2 + 1 > 3 in the third; the weight overflows in the last
+    for n, lambdas in ((2, ()), (3, (-1.0,)), (3, (1.0, 2.0)), (601, ())):
+        with pytest.raises(UsageError):
+            ModelPoint(n, lambdas)
+        with pytest.raises(UsageError):
+            ModelPoint(n=n, lambdas=lambdas)
+        with pytest.raises(UsageError):
+            ModelPoint(n, lambdas=lambdas)
     pt = ModelPoint(5, (1.0, 2.0))
     assert pt.m_y == 2 and pt.n_y == 0
+    assert pt == ModelPoint(lambdas=(1.0, 2.0), n=5)
 
 
 @pytest.mark.parametrize("n, lambdas", [(601, ()), (345, ()), (301, (1.0,)), (5, (1e200, 1e200))])

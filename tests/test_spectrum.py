@@ -400,6 +400,49 @@ def test_type2_records_match_a_reference_built_through_make(m, r_eps, keys, k_mi
     assert all(_exact_fields(rec) for rec in records)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([(0, 1, None), (0, 3, None), (1, 1, 0), (1, 2, 1)]),
+    st.integers(-12, 12),
+    st.integers(0, 24),
+    st.lists(
+        st.tuples(st.integers(-12, 12), st.integers(1, 40), st.lists(st.integers(0, 2), min_size=3, max_size=3)),
+        max_size=10,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_no_producer_emits_a_multiplicity_below_one(m, surface, k_min, width, keys, rng):
+    """EigRecord does not check its multiplicity: type1_eigenvalues skips a
+    zero Hodge number and the Dolbeault provider keeps only a positive d^p,
+    over surfaces (zero on their vanishing ranges), drawn tables and drawn
+    exact complexes with zero d^p among them."""
+    k_range = (k_min, k_min + width)
+    r, eps = Fraction(1, 3), Fraction(1, 10)
+    genus, degree, h00 = surface
+    hodge = [
+        (surface_geometry(genus, degree), SurfaceHodge(genus, degree, h00)),
+        (
+            surface_geometry(0, 1) if m == 1 else projective_like_geometry(m),
+            TableHodge(m, {(p, k): rng.choice((0, 0, 1, 2)) for p in range(m + 1)
+                           for k in range(k_min, k_min + width + 1)}),
+        ),
+    ]
+    records = [rec for g, hp in hodge for rec in type1_eigenvalues(g, hp, r, eps, k_range)]
+    # an exact complex on each (k, μ²): d^0..d^{m-1} drawn from 0..2, d^m = 0
+    drawn = {}
+    for k, mu_sq, ds in keys:
+        drawn.setdefault((k, Fraction(mu_sq, 4)), ds[:m] + [0])
+    entries = [
+        (k, p, mu_sq, (ds[p - 1] if p else 0) + ds[p])
+        for (k, mu_sq), ds in drawn.items()
+        for p in range(m + 1)
+    ]
+    provider = DolbeaultProvider(tuple(entries), Fraction(1, 4), m)
+    records += type2_records(provider, r, eps, k_range)
+    assert all(type(rec.multiplicity) is int and rec.multiplicity >= 1 for rec in records)
+
+
 def test_type2_pair_with_square_discriminant_is_rational():
     # δ = (2k + ε(2p - m + 1) - 2r)² + 4μ²ε = 0 + 4·(5/2)·(1/10) = 1
     plus, minus = type2_eigenvalues(0, 0, Fraction(5, 2), Fraction(0), Fraction(1, 10), 1)
