@@ -62,7 +62,6 @@ _LAZY = {
         "EndForm",
         "GaussRat",
         "KahlerModel",
-        "ScalarForm",
         "build_tensors",
         "constant_curvature_block",
         "identity_suite",

@@ -72,10 +72,13 @@ class ConventionSet(_ConventionFields):
 
     def __new__(cls, *args, **kwargs) -> ConventionSet:
         self = super().__new__(cls, *args, **kwargs)
-        if self.sign_c not in (1, -1):
-            raise UsageError("sign_c must be ±1")
-        if self.flow_factor not in (1, 2):
-            raise UsageError("flow_factor must be 1 or 2")
+        # type checks first: True == 1 and 1.0 == 1 would pass the value checks
+        if type(self.sign_c) is not int or self.sign_c not in (1, -1):
+            raise UsageError("sign_c must be the int 1 or -1")
+        if type(self.flow_factor) is not int or self.flow_factor not in (1, 2):
+            raise UsageError("flow_factor must be the int 1 or 2")
+        if type(self.transgression_scale) not in (int, Fraction):
+            raise UsageError("transgression_scale must be an int or a Fraction")
         return self
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .cohomology import Geometry
 from .errors import UsageError
-from .hodge import HodgeProvider
+from .hodge import HodgeProvider, check_k_range
 
 
 class Crossing(NamedTuple):
@@ -51,6 +51,7 @@ def flow_in_s_oracle(
         # s* = k + shift in (r0, r1]
         k_lo = math.floor(r0 - shift) + 1
         k_hi = math.floor(r1 - shift)
+        check_k_range(k_lo, k_hi)
         direction = -((-1) ** p)
         for k in range(k_lo, k_hi + 1):
             mult = hp.h(p, k)
@@ -89,6 +90,7 @@ def flow_in_delta_closed(
             k_lo, k_hi, sign = math.floor(r) + 1, math.ceil(shifted) - 1, -1
         else:
             k_lo, k_hi, sign = math.floor(r) + 1, math.floor(shifted), +1
+        check_k_range(k_lo, k_hi)
         for k in range(k_lo, k_hi + 1):
             total += sign * hp.h(p, k)
     return total
@@ -115,6 +117,7 @@ def flow_in_delta_oracle(
         endpoints = sorted([r, r - eps * q])
         k_lo = math.ceil(endpoints[0]) - 1
         k_hi = math.floor(endpoints[1]) + 1
+        check_k_range(k_lo, k_hi)
         for k in range(k_lo, k_hi + 1):
             delta_star = (r - k) / q
             if delta_star < 0 or delta_star > eps:

@@ -4,9 +4,9 @@ Exact engine for small dimensions: forms store their nonzero values on
 sorted basis tuples, a wedge product runs over the pairs of stored values
 with disjoint indices and composes matrices by skipping zero entries (almost
 all entries of these tensors are zero), and all identities are checked by
-exhaustive basis-tuple evaluation.  Scalars are integers where the tensors
-are, rationals once κ or δ enters, and Gaussian rationals in the
-complexified traces.
+exhaustive basis-tuple evaluation.  A scalar form (ω, a trace) is a form of
+1×1 matrices.  Scalars are integers where the tensors are, rationals once κ
+or δ enters, and Gaussian rationals in the complexified traces.
 """
 
 from __future__ import annotations
@@ -150,71 +150,9 @@ def _sort_args(args: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
     return sign, tuple(sorted(args))
 
 
-class ScalarForm:
-    """Alternating form with scalar values, stored on sorted basis tuples."""
-
-    __slots__ = ("degree", "dim", "values")
-
-    def __init__(self, degree: int, dim: int, values: Mapping[tuple[int, ...], object]):
-        self.degree = degree
-        self.dim = dim
-        self.values = {k: v for k, v in values.items() if v}
-
-    def __call__(self, *args: int):
-        sorted_ = _sort_args(args)
-        if sorted_ is None:
-            return 0
-        sign, key = sorted_
-        return sign * self.values.get(key, 0)
-
-    def __add__(self, other: "ScalarForm") -> "ScalarForm":
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = out.get(k, 0) + v
-        return ScalarForm(self.degree, self.dim, out)
-
-    def scale(self, s) -> "ScalarForm":
-        return ScalarForm(self.degree, self.dim, {k: v * s for k, v in self.values.items()})
-
-    def __neg__(self) -> "ScalarForm":
-        return self.scale(-1)
-
-    def wedge(self, other: "ScalarForm") -> "ScalarForm":
-        """Sum over the pairs of stored values whose indices are disjoint."""
-        out: dict[tuple[int, ...], object] = {}
-        for left, a in self.values.items():
-            for right, b in other.values.items():
-                sorted_ = _sort_args(left + right)
-                if sorted_ is not None:
-                    sign, key = sorted_
-                    out[key] = out.get(key, 0) + sign * a * b
-        return ScalarForm(self.degree + other.degree, self.dim, out)
-
-    def powers(self, n: int) -> list["ScalarForm"]:
-        """[self^0, self^1, ..., self^n], each one wedge from the one before."""
-        out = [ScalarForm(0, self.dim, {(): 1})]
-        for _ in range(n):
-            out.append(out[-1].wedge(self))
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalarForm):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.dim == other.dim
-            and self.values == other.values
-        )
-
-    def __repr__(self) -> str:
-        return f"ScalarForm(deg={self.degree}, dim={self.dim}, {self.values})"
-
-
 class EndForm:
-    """Alternating form with endomorphism (matrix) values."""
+    """Alternating form with endomorphism (matrix) values, stored on sorted
+    basis tuples.  A scalar form is one of 1×1 matrices (size 1)."""
 
     __slots__ = ("degree", "dim", "size", "values")
 
@@ -294,10 +232,11 @@ class EndForm:
             out.append(out[-1].wedge(self))
         return out
 
-    def trace(self) -> ScalarForm:
-        return ScalarForm(
-            self.degree, self.dim,
-            {k: mat_trace(v) for k, v in self.values.items()},
+    def trace(self) -> "EndForm":
+        """The scalar form of the traces, as a form of 1×1 matrices."""
+        return EndForm(
+            self.degree, self.dim, 1,
+            {k: ((mat_trace(v),),) for k, v in self.values.items()},
         )
 
     def is_zero(self) -> bool:
@@ -338,8 +277,9 @@ class KahlerModel(NamedTuple):
             rows[2 * i][2 * i + 1] = -1  # J f_i = -e_i
         return tuple(tuple(r) for r in rows)
 
-    def omega(self) -> ScalarForm:
-        return ScalarForm(2, self.dim, {(2 * i, 2 * i + 1): 1 for i in range(self.m)})
+    def omega(self) -> EndForm:
+        """The Kähler form ω as a form of 1×1 matrices."""
+        return EndForm(2, self.dim, 1, {(2 * i, 2 * i + 1): ((1,),) for i in range(self.m)})
 
 
 def _big_omega(model: KahlerModel, jm: Matrix) -> EndForm:
@@ -519,8 +459,10 @@ def trace_expansion_check(
     """The three trace identities for A = R + 2δ(ω⊗J) + δΩ against their
     complexified right-hand sides, exactly over Gaussian rationals.
 
-    Identity 2's constant term is 2ε_N·δ·ω (the δ belongs there: the term
-    descends from (2iδω)^{N-1} at N = 2).
+    Identity 2's constant term is 2ε_N·δ·ω, where ε_N is 1 at N = 2 and 0
+    otherwise (the δ belongs there: the term descends from (2iδω)^{N-1} at
+    N = 2); identity 3's is -2ε_N·ω.  Both are degree-2 forms, so they are
+    added or compared only at N = 2.
     """
     if N % 2 != 0 or N < 2:
         raise UsageError("N must be even and >= 2")
@@ -533,7 +475,7 @@ def trace_expansion_check(
     big_omega = _big_omega(model, jm)
 
     omega_j = EndForm(
-        2, n, n, {k: mat_scale(jm, v) for k, v in omega.values.items()}
+        2, n, n, {k: mat_scale(jm, v[0][0]) for k, v in omega.values.items()}
     )
     total = curv + omega_j.scale(2 * delta) + big_omega.scale(delta)
 
@@ -543,31 +485,30 @@ def trace_expansion_check(
     id_m = mat_identity(m)
     omega_id = EndForm(
         2, n, m,
-        {k: mat_scale(id_m, v * two_i_delta) for k, v in omega.values.items()},
+        {k: mat_scale(id_m, v[0][0] * two_i_delta) for k, v in omega.values.items()},
     )
     s_form = r10 + omega_id
 
-    eps_n = 1 if N == 2 else 0
-    checks = []
     # the identities need powers N - 2, N - 1 and N of the same forms
     total_pow, s_pow, omega_pow = total.powers(N), s_form.powers(N), omega.powers(N)
 
     lhs1 = total_pow[N].trace()
     rhs1 = s_pow[N].trace().scale(2)
     rhs1 = rhs1 + omega_pow[N].scale(two_i_delta**N * 2)
-    checks.append(("full_trace_power", lhs1 == rhs1))
 
     lhs2 = total_pow[N - 1].left_mul(jm).trace()
     rhs2 = s_pow[N - 1].trace().scale(I * 2)
     rhs2 = rhs2 + omega_pow[N - 1].scale(two_i_delta ** (N - 1) * I * 2)
-    rhs2 = rhs2 + omega.scale(2 * eps_n * delta)
-    checks.append(("j_trace_power", lhs2 == rhs2))
 
     lhs3 = big_omega.right_mul(jm).wedge(total_pow[N - 2]).trace()
-    if eps_n:
+    if N == 2:
+        rhs2 = rhs2 + omega.scale(2 * delta)
         ok3 = lhs3 == omega.scale(Fraction(-2))
     else:
         ok3 = lhs3.is_zero()
-    checks.append(("omega_j_trace_power", ok3))
 
-    return IdentityReport(tuple(checks))
+    return IdentityReport((
+        ("full_trace_power", lhs1 == rhs1),
+        ("j_trace_power", lhs2 == rhs2),
+        ("omega_j_trace_power", ok3),
+    ))

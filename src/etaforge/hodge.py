@@ -14,6 +14,16 @@ from typing import Mapping
 from .cohomology import Geometry, hrr_chi
 from .errors import ProviderConsistencyError, UnknownHodgeData, UsageError
 
+# widest range of k over which an enumerator reads one family h(p, ·); a
+# wider one is refused before the loop, instead of running for minutes
+MAX_K_VALUES = 100_000
+
+
+def check_k_range(k_lo: int, k_hi: int) -> None:
+    """Refuse a k-range k_lo..k_hi of more than MAX_K_VALUES values."""
+    if k_hi - k_lo + 1 > MAX_K_VALUES:
+        raise UsageError(f"k-range [{k_lo}, {k_hi}] is wider than {MAX_K_VALUES} values")
+
 
 class HodgeProvider:
     """Common interface: h(p, k) -> nonnegative integer."""

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .cohomology import Geometry
 from .errors import InvalidDolbeaultData, UsageError
-from .hodge import HodgeProvider
+from .hodge import HodgeProvider, check_k_range
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -173,6 +173,7 @@ def type1_eigenvalues(
     """λ = (-1)^p (k + ε(p - m/2) - r) with multiplicity h^{p,k}."""
     if eps <= 0:
         raise UsageError("eps must be positive")
+    check_k_range(*k_range)
     # per family p: λ = offset_p + sign_p·k with offset_p = (-1)^p (ε(p - m/2) - r)
     # = num_p/den_p in lowest terms; then λ = (num_p + sign_p·den_p·k)/den_p is
     # in lowest terms too, since adding a multiple of den_p keeps the gcd 1

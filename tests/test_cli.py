@@ -495,15 +495,38 @@ def test_surface_data_breaking_riemann_roch_is_refused(tmp_path, monkeypatch, ca
 
 
 def test_spectrum_refuses_huge_k_range(capsys):
-    start = time.perf_counter()
+    """A k-range of more than 100,000 values in one family is refused before
+    the enumerator or flow loops over it: a spectrum dump, a δ-flow over a
+    huge ε, and an s-flow or APS window of length 10^12."""
+    huge = "1000000000000"
+    for argv in (
+        ("spectrum", "--r", "0", "--eps", "1/10", "--k-min", "0", "--k-max", "3000000"),
+        ("eta", "exact", "--r", "0", "--eps", huge),
+        ("flow", "--r", "0", "--eps", huge),
+        ("flow", "--r0", "0", "--r1", huge, "--eps", "1/10"),
+        ("eta", "aps-check", "--r0", "0", "--r1", huge, "--eps", "1/10"),
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv, *_SURFACE_01)
+        assert time.perf_counter() - start < 5, argv
+        assert code == 1 and out == "", argv
+        record = json.loads(err)
+        assert record["error"] == "UsageError" and "wider than 100000" in record["detail"], argv
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+def test_a_value_too_long_to_write_is_a_usage_error(mode, tmp_path, capsys):
+    """r = 10^5000 is computed exactly, but a rational of more than 4,300
+    digits has no str(); the refusal comes before the --out file is opened."""
+    out_file = tmp_path / "out.json"
+    out_file.write_bytes(b"earlier output\n")
     code, out, err = _run(
-        capsys,
-        "spectrum", "--preset", "surface", "--genus", "0", "--degree", "1",
-        "--r", "0", "--eps", "1/10", "--k-min", "0", "--k-max", "3000000",
+        capsys, "eta", mode, *_SURFACE_01, "--r", "1e5000", "--eps", "1/10", "--out", str(out_file),
     )
-    assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "UsageError"
+    record = json.loads(err)
+    assert record["error"] == "UsageError" and "digits" in record["detail"]
+    assert out_file.read_bytes() == b"earlier output\n"
 
 
 def test_flow_mismatch_exits_three(monkeypatch, capsys):

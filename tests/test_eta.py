@@ -36,13 +36,24 @@ def _genus0(l=1):
 
 
 def test_convention_set_validation():
-    for sign_c, flow_factor in ((0, 1), (1, 3), (-1, 0)):
+    """A bad value, or a bool or float that equals a good one (True == 1,
+    1.0 == 1), is refused by position, by keyword and mixed."""
+    bad = [
+        (sign_c, flow_factor, Fraction(1))
+        for sign_c, flow_factor in (
+            (0, 1), (1, 3), (-1, 0), (True, 1), (-1, True), (1.0, 1), (-1, 1.0), (-1.0, 2)
+        )
+    ]
+    bad += [(-1, 1, scale) for scale in (0.5, 1.0, True, "1")]
+    for sign_c, flow_factor, scale in bad:
         with pytest.raises(UsageError):
-            ConventionSet(sign_c, flow_factor, Fraction(1))
+            ConventionSet(sign_c, flow_factor, scale)
         with pytest.raises(UsageError):
-            ConventionSet(sign_c=sign_c, flow_factor=flow_factor, transgression_scale=Fraction(1))
+            ConventionSet(sign_c=sign_c, flow_factor=flow_factor, transgression_scale=scale)
         with pytest.raises(UsageError):
-            ConventionSet(sign_c, flow_factor=flow_factor, transgression_scale=Fraction(1))
+            ConventionSet(sign_c, flow_factor=flow_factor, transgression_scale=scale)
+    # an int scale is an exact rational too
+    assert ConventionSet(-1, 2, 3).transgression_scale == 3
 
 
 def test_adiabatic_genus0_piecewise_values():

@@ -12,7 +12,9 @@ from etaforge.flow import (
     flow_in_delta_oracle,
     flow_in_s_oracle,
 )
+from etaforge import hodge
 from etaforge.hodge import SurfaceHodge, TableHodge
+from etaforge.spectrum import type1_eigenvalues
 
 
 def _genus0(l=1):
@@ -156,3 +158,35 @@ def test_flat_families_never_contribute():
     for r in (Fraction(1, 2), Fraction(1), Fraction(7, 3)):
         oracle = flow_in_delta_oracle(g, hp, r, Fraction(1, 5))
         assert all(c.p != 1 for c in oracle.crossings)
+
+
+def test_enumerators_refuse_a_k_range_past_the_bound(monkeypatch):
+    """Each loop over k refuses a family range of more than MAX_K_VALUES
+    values before it reads a Hodge number, and takes one of exactly that
+    many."""
+    g, hp = _genus0(1)
+
+    class Unread(hodge.HodgeProvider):
+        m = 1
+
+        def h(self, p, k):
+            raise AssertionError("a Hodge number was read before the k-range was checked")
+
+    eps, huge = Fraction(1, 10), Fraction(10**12)
+    for call in (
+        lambda: type1_eigenvalues(g, Unread(), Fraction(0), eps, (0, 10**12)),
+        lambda: flow_in_s_oracle(g, Unread(), Fraction(0), huge, eps),
+        lambda: flow_in_delta_closed(g, Unread(), Fraction(0), huge),
+        lambda: flow_in_delta_oracle(g, Unread(), Fraction(0), huge),
+    ):
+        with pytest.raises(UsageError, match="wider than 100000 values"):
+            call()
+    monkeypatch.setattr(hodge, "MAX_K_VALUES", 10)
+    # for k in 0..9 the nonzero Hodge numbers sit at p = 0, k = 1..9
+    assert [rec.k for rec in type1_eigenvalues(g, hp, Fraction(0), eps, (0, 9))] == list(range(1, 10))
+    with pytest.raises(UsageError):
+        type1_eigenvalues(g, hp, Fraction(0), eps, (0, 10))
+    # family p = 0 crosses at s = k - 1/20: k = 1..10 on (0, 10], k = 1..11 on (0, 11]
+    assert flow_in_s_oracle(g, hp, Fraction(0), Fraction(10), eps).net < 0
+    with pytest.raises(UsageError):
+        flow_in_s_oracle(g, hp, Fraction(0), Fraction(11), eps)

@@ -13,10 +13,11 @@ from etaforge.forms import (
     GaussRat,
     I,
     KahlerModel,
-    ScalarForm,
     build_tensors,
     constant_curvature_block,
     identity_suite,
+    mat_add,
+    mat_identity,
     mat_mul,
     parity_count,
     parity_expected,
@@ -45,22 +46,27 @@ def test_gauss_rational_hashes_like_the_rational_it_equals():
     assert GaussRat(Fraction(1), Fraction(1)) not in {1, Fraction(1)}
 
 
+def _scalar_form(degree, dim, values):
+    """The scalar form with these values, as a form of 1×1 matrices."""
+    return EndForm(degree, dim, 1, {key: ((value,),) for key, value in values.items()})
+
+
 def _random_scalar_form(rng, degree, dim):
     values = {}
     for combo in itertools.combinations(range(dim), degree):
         if rng.random() < 0.6:
             values[combo] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return ScalarForm(degree, dim, values)
+    return _scalar_form(degree, dim, values)
 
 
 def _antisymmetrized(f, g, args):
     """(F∧G)(v) = (1/(p! q!)) Σ_σ sgn(σ) F(v_σ(1..p)) · G(v_σ(p+1..p+q)), over
-    every permutation; matrix values compose with the dense product."""
+    every permutation; the values compose with the dense matrix product."""
     p = f.degree
     total = None
     for perm in itertools.permutations(args):
         left, right = f(*perm[:p]), g(*perm[p:])
-        term = _dense_mul(left, right) if isinstance(f, EndForm) else left * right
+        term = _dense_mul(left, right)
         inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
         if inversions % 2:
             term = _negate(term)
@@ -102,10 +108,10 @@ def test_scalar_wedge_graded_commutative_and_associative():
 
 
 def test_evaluation_sign_and_repeats():
-    f = ScalarForm(2, 3, {(0, 1): Fraction(5)})
-    assert f(0, 1) == 5
-    assert f(1, 0) == -5
-    assert f(1, 1) == 0
+    f = _scalar_form(2, 3, {(0, 1): Fraction(5)})
+    assert f(0, 1) == ((5,),)
+    assert f(1, 0) == ((-5,),)
+    assert f(1, 1) == ((0,),)
 
 
 def test_endform_wedge_associative():
@@ -293,7 +299,7 @@ def test_scalar_wedge_with_gauss_values_matches_full_antisymmetrization():
                 values[combo] = GaussRat(
                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4))
                 )
-        return ScalarForm(degree, dim, values)
+        return _scalar_form(degree, dim, values)
 
     for p, q, dim in ((1, 1, 3), (1, 2, 4), (2, 2, 5)):
         f, g = gauss_form(p, dim), gauss_form(q, dim)
@@ -310,7 +316,7 @@ def test_wedge_above_the_dimension_is_zero():
     assert (top.degree, top.dim) == (4, 3) and top.is_zero()
     omega = t["omega"]
     assert omega.wedge(omega).wedge(omega).is_zero()
-    assert omega.powers(3)[3] == ScalarForm(6, 3, {})
+    assert omega.powers(3)[3] == EndForm(6, 3, 1, {})
 
 
 def test_wedge_whose_terms_cancel_is_zero():
@@ -320,8 +326,31 @@ def test_wedge_whose_terms_cancel_is_zero():
     a = EndForm(1, 3, 2, {(0,): ident, (1,): diag, (2,): ident})
     square = a.wedge(a)
     assert square.is_zero() and square.values == {}
-    f = ScalarForm(1, 4, {(0,): Fraction(1, 2), (2,): GaussRat(Fraction(1), Fraction(-2))})
+    f = _scalar_form(1, 4, {(0,): Fraction(1, 2), (2,): GaussRat(Fraction(1), Fraction(-2))})
     assert f.wedge(f).is_zero()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_add_and_wedge_refuse_mismatched_forms(size):
+    """A sum needs one degree, dimension and size; a wedge one dimension and
+    size (degrees add).  Scalar forms, of size 1, are held to the same."""
+    ident = mat_identity(size)
+
+    def form(degree, dim, size=size):
+        key = tuple(range(degree))
+        return EndForm(degree, dim, size, {key: mat_identity(size)})
+
+    f = form(2, 3)
+    assert (f + form(2, 3)).values == {(0, 1): mat_add(ident, ident)}
+    assert f.wedge(form(1, 3)).degree == 3
+    for other in (form(1, 3), form(2, 5), form(2, 3, size + 1)):
+        with pytest.raises(UsageError):
+            f + other
+    for other in (form(1, 5), form(1, 3, size + 1)):
+        with pytest.raises(UsageError):
+            f.wedge(other)
+        with pytest.raises(UsageError):
+            other.wedge(f)
 
 
 def _reference_tensors(m, kappa):
@@ -394,7 +423,7 @@ def test_integer_tensors_match_fraction_references(m):
         # the tensors of the model hold Python ints, not Fractions
         assert all(type(x) is int for mat in t[name].values.values() for x in _entries(mat)), name
     assert all(type(x) is int for x in _entries(t["J"]))
-    assert t["omega"].values == {(2 * i, 2 * i + 1): 1 for i in range(m)}
+    assert t["omega"].values == {(2 * i, 2 * i + 1): ((1,),) for i in range(m)}
     block = constant_curvature_block(KahlerModel(m), kappa)
     assert block == EndForm(2, 2 * m + 1, 2 * m + 1, curv)
     # the bracket stays an integer: entries are κ/4 times an integer, or the int 0
@@ -414,24 +443,20 @@ def _counted(method, key: str, counts: dict):
 def form_calls(monkeypatch):
     """Calls of the form operations that the suites build powers with."""
     counts = {}
-    for cls, name in ((EndForm, "wedge"), (ScalarForm, "wedge"), (EndForm, "right_mul")):
-        key = f"{cls.__name__}.{name}"
-        counts[key] = 0
-        monkeypatch.setattr(cls, name, _counted(getattr(cls, name), key, counts))
+    for name in ("wedge", "right_mul"):
+        counts[name] = 0
+        monkeypatch.setattr(EndForm, name, _counted(getattr(EndForm, name), name, counts))
     return counts
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("n_power", [2, 4, 6])
 def test_trace_expansion_builds_each_power_once(form_calls, m, n_power):
-    """Powers N - 2, N - 1 and N of A and of S come from N wedges each, one
-    more per power, plus the one wedge of ΩJ against A^(N-2); ω's powers
-    take N wedges."""
+    """Powers N - 2, N - 1 and N of A, of S and of ω come from N wedges
+    each, one more per power, plus the one wedge of ΩJ against A^(N-2)."""
     report = trace_expansion_check(m, n_power, Fraction(1, 3))
     assert report.passed
-    assert form_calls == {
-        "EndForm.wedge": 2 * n_power + 1, "ScalarForm.wedge": n_power, "EndForm.right_mul": 1,
-    }
+    assert form_calls == {"wedge": 3 * n_power + 1, "right_mul": 1}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -440,4 +465,4 @@ def test_identity_suite_builds_each_power_once(form_calls, m):
     for k = 1..m each one wedge from the power before; ΩJ is built once."""
     report = identity_suite(KahlerModel(m))
     assert report.passed
-    assert form_calls == {"EndForm.wedge": 5 + m, "ScalarForm.wedge": m, "EndForm.right_mul": 1}
+    assert form_calls == {"wedge": 5 + 2 * m, "right_mul": 1}

@@ -23,7 +23,7 @@ ApsCheck CalibrationResult ConventionSet Crossing DEFAULT_CONVENTIONS
 DolbeaultProvider EigRecord EndForm EtaValue EtaforgeError FlowResult GaussRat
 Geometry HodgeProvider HrrVanishingHodge InvalidDolbeaultData KahlerModel
 LaplaceCheck ModelPoint NearZeroBound NoConsistentConvention
-ProviderConsistencyError QuadSurd ScalarForm SeriesDomainError SurfaceHodge
+ProviderConsistencyError QuadSurd SeriesDomainError SurfaceHodge
 TableHodge TruncSeries UnknownHodgeData UsageError adiabatic_limit
 aps_difference_check asymptotic_eta build_tensors
 calibrate cohomology constant_curvature_block errors eta exact_eta
@@ -94,7 +94,7 @@ def test_lazy_names_resolve_to_the_submodule_objects():
         "print(json.dumps(ok))"
     )
     ok = _python(code)
-    assert len(ok) == 17 and all(ok)
+    assert len(ok) == 16 and all(ok)
 
 
 def test_first_access_imports_on_demand():
